@@ -23,7 +23,8 @@ import json
 import os
 import sys
 import tempfile
-from typing import Optional, Sequence
+from pathlib import Path
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -56,12 +57,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _atomic_write(path: str, data: bytes) -> None:
+def _atomic_write(path: str, save: Callable[[str], None]) -> None:
+    """Run ``save`` on a temp file next to ``path``, then rename it into place."""
     d = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-dirmax-")
+    os.close(fd)
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+        save(tmp)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -73,12 +75,25 @@ def _write_text(path: Optional[str], text: str) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        _atomic_write(path, text.encode())
+        _atomic_write(path, lambda tmp: Path(tmp).write_bytes(text.encode()))
 
 
 def _load_json(path: str):
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise InvalidArgument(f"{path}: not valid JSON ({exc})") from None
+
+
+def _numbers(data, what: str) -> list[float]:
+    """The JSON array ``data`` as floats; InvalidArgument naming ``what`` if not."""
+    if isinstance(data, list):
+        try:
+            return [float(v) for v in data]
+        except (TypeError, ValueError):
+            pass
+    raise InvalidArgument(f"{what} must be a JSON array of numbers")
 
 
 def _parse_pair(text: str) -> tuple[float, float]:
@@ -105,12 +120,16 @@ def _cmd_decompose(args) -> int:
     data = _load_json(args.input)
     domain = _parse_pair(args.domain) if args.domain else None
     if args.mode == "binary":
-        if not isinstance(data, list):
-            raise InvalidArgument("binary mode expects a JSON array of slopes")
-        decomp = binary_decomposition([float(v) for v in data], gap=args.gap)
+        decomp = binary_decomposition(_numbers(data, "binary mode input"), gap=args.gap)
     else:
-        chain = data["chain"] if isinstance(data, dict) else data
-        decomp = build_decomposition(chain, args.gap, domain)
+        if isinstance(data, dict):
+            if "chain" not in data:
+                raise InvalidArgument(f"{args.input}: a JSON object needs a \"chain\" key")
+            data = data["chain"]
+        if not isinstance(data, list):
+            raise InvalidArgument("chain mode expects a JSON array of slope arrays")
+        stages = [_numbers(stage, "each chain stage") for stage in data]
+        decomp = build_decomposition(stages, args.gap, domain)
     _write_text(args.out, json.dumps(decomp.to_json(), sort_keys=True, indent=1) + "\n")
     return 0
 
@@ -162,15 +181,7 @@ def _cmd_apply(args) -> int:
                 raise InvalidArgument(f"{args.op} needs --directions")
             omega = DirectionSet.from_json(_load_json(args.directions))
             out = {"m0": m0, "m1": m1, "m2": m2}[args.op](f, omega, cfg)
-    buf = tempfile.NamedTemporaryFile(delete=False, dir=os.path.dirname(os.path.abspath(args.out)) or ".")
-    buf.close()
-    try:
-        out.save(buf.name)
-        os.replace(buf.name, args.out)
-    except BaseException:
-        if os.path.exists(buf.name):
-            os.unlink(buf.name)
-        raise
+    _atomic_write(args.out, out.save)
     return 0
 
 
@@ -213,10 +224,15 @@ def _cmd_overlap(args) -> int:
 
 def _cmd_check_support(args) -> int:
     data = _load_json(args.chain)
-    chain = [
-        RankInterval(d["lo"], d["hi"], k + 1, d.get("pole"))
-        for k, d in enumerate(data)
-    ]
+    try:
+        chain = [
+            RankInterval(d["lo"], d["hi"], k + 1, d.get("pole"))
+            for k, d in enumerate(data)
+        ]
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise InvalidArgument(
+            f"{args.chain}: expected a JSON array of {{lo, hi, pole}} objects ({exc!r})"
+        ) from None
     rep = support_containment_check(chain, args.theta, args.R, samples=args.samples)
     payload = {
         "m": rep.m,
@@ -255,8 +271,6 @@ def _cmd_sweep(args) -> int:
 def _build_parser() -> _Parser:
     p = _Parser(prog="dirmax", description=__doc__.splitlines()[0])
     p.add_argument("--seed", type=int, default=0, help="seed for all randomness (default 0)")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker hint; results are identical regardless")
     sub = p.add_subparsers(dest="command")
 
     d = sub.add_parser("decompose", help="build a lacunary decomposition")
@@ -293,9 +307,8 @@ def _build_parser() -> _Parser:
 
     o = sub.add_parser("overlap", help="strip overlap maxima")
     o.add_argument("--decomp", required=True)
-    g = o.add_mutually_exclusive_group()
-    g.add_argument("--exact", action="store_true", default=True)
-    g.add_argument("--samples", type=int, default=0)
+    o.add_argument("--samples", type=int, default=0,
+                   help="sample this many points instead of the exact sweep")
     o.add_argument("--skip-poleless", action="store_true")
     o.add_argument("--out", default=None)
     o.set_defaults(fn=_cmd_overlap)

@@ -31,7 +31,9 @@ Long radii are computed by a dyadic cascade A_{2 delta}(x) =
 (A_delta(x - delta e) + A_delta(x + delta e)) / 2 applied to the sampled
 field, which keeps the per-direction cost logarithmic in the radius range;
 radii with few nodes are computed by the direct composite rule (the
-``direct_nodes_cap`` knob draws the line).
+``direct_nodes_cap`` knob draws the line).  The cascade zero-extends the
+intermediate field rather than f, so near the grid edge it undershoots the
+direct rule, and a cascaded level whose shift reaches the grid side is 0.
 
 All operations are pure; fields are computed in a fixed summation order so
 results are reproducible bit for bit.
@@ -40,6 +42,7 @@ results are reproducible bit for bit.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
@@ -67,6 +70,7 @@ __all__ = [
 ]
 
 _GRID_MAGIC = b"GRD2"
+_GRID_HEADER = 24  # magic, u32 width, u32 height, u32 reserved, f64 spacing
 
 
 @dataclass(frozen=True)
@@ -146,12 +150,25 @@ class Grid2D:
     @staticmethod
     def load(path) -> "Grid2D":
         with open(path, "rb") as fh:
-            head = fh.read(16)
-            if len(head) != 16 or head[:4] != _GRID_MAGIC:
+            head = fh.read(_GRID_HEADER)
+            if head[:4] != _GRID_MAGIC:
                 raise InvalidArgument(f"{path}: not a GRD2 grid file")
-            _, w, h, _ = struct.unpack("<4sIII", head)
-            (spacing,) = struct.unpack("<d", fh.read(8))
-            data = np.frombuffer(fh.read(8 * w * h), dtype="<f8").reshape(h, w)
+            if len(head) != _GRID_HEADER:
+                raise InvalidArgument(f"{path}: truncated GRD2 header")
+            _, w, h, _, spacing = struct.unpack("<4sIIId", head)
+            # the header's size is checked against the file before anything
+            # of that size is read, so a forged header cannot force a huge read
+            n_bytes = 8 * w * h
+            size = os.fstat(fh.fileno()).st_size
+            if size != _GRID_HEADER + n_bytes:
+                raise InvalidArgument(
+                    f"{path}: header declares a {w}x{h} grid "
+                    f"({_GRID_HEADER + n_bytes} bytes) but the file has {size} bytes"
+                )
+            raw = fh.read(n_bytes)
+        if len(raw) != n_bytes:
+            raise InvalidArgument(f"{path}: truncated GRD2 data")
+        data = np.frombuffer(raw, dtype="<f8").reshape(h, w)
         return Grid2D(data.copy(), spacing)
 
     def save_csv(self, path) -> None:
@@ -231,6 +248,14 @@ def _shift_add(out: np.ndarray, src: np.ndarray, di: int, dj: int, w: float) -> 
     """out += w * translate(src) where translate reads src at (i+di, j+dj).
 
     Zero extension: out-of-range reads contribute nothing.
+
+    Both arrays must be C-contiguous and of the same shape: the valid output
+    rows form one run of the flattened array, which is updated by a single
+    1-D add (``ValueError`` otherwise, since a flat view needs C order).  In
+    that run the |dj| columns between two rows read across a row boundary;
+    they are saved before the add and restored after it.  Each pixel still
+    gets fl(out + fl(w * src)), so results match the 2-D slice add bit for
+    bit.
     """
     if w == 0.0:
         return
@@ -239,7 +264,14 @@ def _shift_add(out: np.ndarray, src: np.ndarray, di: int, dj: int, w: float) -> 
     j0, j1 = max(0, -dj), min(wdt, wdt - dj)
     if i0 >= i1 or j0 >= j1:
         return
-    out[i0:i1, j0:j1] += w * src[i0 + di : i1 + di, j0 + dj : j1 + dj]
+    if dj:
+        wrap = out[i0 : i1 - 1, j1:] if dj > 0 else out[i0 + 1 : i1, :j0]
+        kept = wrap.copy()
+    a, b = i0 * wdt + j0, (i1 - 1) * wdt + j1
+    off = di * wdt + dj
+    out.reshape(-1, copy=False)[a:b] += w * src.reshape(-1, copy=False)[a + off : b + off]
+    if dj:
+        wrap[...] = kept
 
 
 def _bilinear_shift_add(out, src, cx: float, cy: float, w: float) -> None:
@@ -362,7 +394,7 @@ def m0(f: Grid2D, omega: DirectionSet, cfg: Optional[OperatorConfig] = None) -> 
     dirs = _require_directions(omega)
     if f.spacing > 0.125:
         raise InvalidArgument("grid spacing must be <= 1/8 to resolve unit averages")
-    src = np.abs(f.values)
+    src = np.abs(f.values, order="C")  # the shift-add kernel needs C order
     out = np.zeros_like(src)
     for s in dirs:
         e = direction_vector(s)
@@ -390,7 +422,7 @@ def m1(f: Grid2D, omega: DirectionSet, cfg: OperatorConfig) -> Grid2D:
     radii are 2-comparable).
     """
     dirs = _require_directions(omega)
-    src = np.abs(f.values)
+    src = np.abs(f.values, order="C")  # the shift-add kernel needs C order
     out = src.copy()
     for s in dirs:
         e = direction_vector(s)
@@ -425,7 +457,7 @@ def m2(f: Grid2D, omega: DirectionSet, cfg: OperatorConfig) -> Grid2D:
     rectangles by shifting the same fields.
     """
     dirs = _require_directions(omega)
-    src = np.abs(f.values)
+    src = np.abs(f.values, order="C")  # the shift-add kernel needs C order
     out = src.copy()
     col_radii = _column_ladder_radii(cfg)
     for s in dirs:

@@ -103,7 +103,12 @@ class DirectionSet:
 
     @staticmethod
     def from_json(data) -> "DirectionSet":
-        return DirectionSet(tuple(float(v) for v in data))
+        if not isinstance(data, (list, tuple)):
+            raise InvalidArgument("a direction set is a JSON array of numbers")
+        try:
+            return DirectionSet(tuple(float(v) for v in data))
+        except (TypeError, ValueError) as exc:
+            raise InvalidArgument(f"malformed direction set: {exc}") from None
 
 
 def perpendicular(directions: DirectionSet) -> DirectionSet:
@@ -337,16 +342,22 @@ class LacunaryDecomposition:
 
     @staticmethod
     def from_json(data: dict) -> "LacunaryDecomposition":
-        chain = tuple(tuple(sorted(float(v) for v in s)) for s in data["chain"])
-        intervals = tuple(
-            RankInterval(d["lo"], d["hi"], d["rank"], d.get("pole"))
-            for d in data["rank_intervals"]
-        )
-        domain = tuple(data.get("domain", (chain[-1][0], chain[-1][-1])))
-        poles = tuple(
-            data.get("poles", sorted({j.pole for j in intervals if j.pole is not None}))
-        )
-        return LacunaryDecomposition(chain, float(data["gap"]), intervals, domain, poles)
+        try:
+            chain = tuple(tuple(sorted(float(v) for v in s)) for s in data["chain"])
+            intervals = tuple(
+                RankInterval(d["lo"], d["hi"], d["rank"], d.get("pole"))
+                for d in data["rank_intervals"]
+            )
+            domain = tuple(data.get("domain", (chain[-1][0], chain[-1][-1])))
+            poles = tuple(
+                data.get("poles", sorted({j.pole for j in intervals if j.pole is not None}))
+            )
+            gap = float(data["gap"])
+        except KeyError as exc:
+            raise InvalidArgument(f"decomposition JSON lacks the key {exc}") from None
+        except (AttributeError, IndexError, TypeError, ValueError) as exc:
+            raise InvalidArgument(f"malformed decomposition JSON: {exc}") from None
+        return LacunaryDecomposition(chain, gap, intervals, domain, poles)
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -355,7 +366,11 @@ class LacunaryDecomposition:
     @staticmethod
     def load(path) -> "LacunaryDecomposition":
         with open(path) as fh:
-            return LacunaryDecomposition.from_json(json.load(fh))
+            try:
+                data = json.load(fh)
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                raise InvalidArgument(f"{path}: not valid JSON ({exc})") from None
+        return LacunaryDecomposition.from_json(data)
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,7 @@ The sign convention is fixed globally here and in the containment report.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -221,35 +222,28 @@ def _sweep_max(tau: np.ndarray, centers: np.ndarray) -> tuple[int, tuple[float, 
     if len(tau) == 0:
         return 0, (1.0, 0.0)
     order = np.argsort(tau, kind="stable")
-    tau, centers = tau[order], centers[order]
-    best, arg = 0, (float(tau[0]) * 2.0, float(centers[0]) * 2.0 * tau[0])
-    active = np.empty(len(tau))
-    n_act = 0
+    # plain floats and bisect: one numpy call per activation cost more than
+    # the search itself, and the comparisons are the same IEEE ones
+    tau, centers = tau[order].tolist(), centers[order].tolist()
+    best, arg = 0, (tau[0] * 2.0, centers[0] * 2.0 * tau[0])
+    active: list[float] = []
     for t, c in zip(tau, centers):
-        pos = int(np.searchsorted(active[:n_act], c))
-        active[pos + 1 : n_act + 1] = active[pos:n_act].copy()
-        active[pos] = c
-        n_act += 1
+        insort(active, c)
         x1 = t * (1.0 + 1e-12)
         width = 2.0 * STRIP_HALF_WIDTH / x1
-        arr = active[:n_act]
-        lo = int(np.searchsorted(arr, c - width, side="left"))
-        hi = int(np.searchsorted(arr, c + width, side="right"))
-        if hi - lo <= best:
+        lo = bisect_left(active, c - width)
+        if bisect_right(active, c + width) - lo <= best:
             continue
-        # best window of width ``width`` covering c, left edge at a member
-        cut = int(np.searchsorted(arr, c, side="right"))
-        starts = arr[lo:cut]
-        ends = starts + width
-        cnts = (
-            np.searchsorted(arr, ends, side="right")
-            - np.searchsorted(arr, starts, side="left")
-        )
-        cnts = np.where(ends >= c, cnts, 0)
-        k = int(np.argmax(cnts))
-        if cnts[k] > best:
-            best = int(cnts[k])
-            arg = (x1, (starts[k] + 0.5 * width) * x1)
+        # best window of width ``width`` covering c, left edge at a member;
+        # the first widest window wins ties
+        for start in active[lo : bisect_right(active, c)]:
+            end = start + width
+            if end < c:
+                continue
+            cnt = bisect_right(active, end) - bisect_left(active, start)
+            if cnt > best:
+                best = cnt
+                arg = (x1, (start + 0.5 * width) * x1)
     return best, arg
 
 

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from dirmax.cli import run
-from dirmax.grid_ops import Grid2D
-from dirmax.lacunary import LacunaryDecomposition
+from dirmax.grid_ops import Grid2D, OperatorConfig, m1
+from dirmax.lacunary import DirectionSet, LacunaryDecomposition
 
 
 @pytest.fixture
@@ -43,6 +43,42 @@ class TestExitCodes:
              "--out", str(tmp_path / "o.json")]
         )
         assert code == 2
+
+    def test_non_json_input_is_validation_failure(self, tmp_path, capsys):
+        src = tmp_path / "dirs.json"
+        src.write_text("0.1, 0.2\n")
+        assert run(["decompose", "--mode", "binary", "--input", str(src)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("dirmax: ") and err.count("\n") == 1
+
+    def test_non_json_directions_is_validation_failure(self, grid_file, tmp_path, capsys):
+        bad = tmp_path / "dirs.json"
+        bad.write_bytes(b"\xff\xfe not json")
+        assert run(["apply", "--op", "m1", "--grid", str(grid_file),
+                    "--directions", str(bad), "--out", str(tmp_path / "o.grd")]) == 1
+        assert capsys.readouterr().err.startswith("dirmax: ")
+
+    def test_decomposition_without_chain_is_validation_failure(self, tmp_path, capsys):
+        d = tmp_path / "d.json"
+        d.write_text(json.dumps({"x": 1}))
+        assert run(["overlap", "--decomp", str(d)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("dirmax: ") and "chain" in err and err.count("\n") == 1
+
+    def test_truncated_grid_is_validation_failure(self, grid_file, dirs_file, tmp_path, capsys):
+        raw = grid_file.read_bytes()
+        grid_file.write_bytes(raw[: len(raw) // 2])
+        out = tmp_path / "o.grd"
+        assert run(["apply", "--op", "m1", "--grid", str(grid_file),
+                    "--directions", str(dirs_file), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("dirmax: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_removed_noop_flags_are_usage_errors(self, tmp_path):
+        assert run(["--threads", "2", "kernel-table", "--kind", "bump",
+                    "--range", "0,1", "--samples", "2"]) == 1
+        assert run(["overlap", "--decomp", str(tmp_path / "d.json"), "--exact"]) == 1
 
 
 class TestDecompose:
@@ -104,6 +140,18 @@ class TestApply:
         g = Grid2D.load(out)
         assert g.values.shape == (48, 48)
         assert np.all(g.values >= 0)
+
+    def test_output_matches_library_bytes(self, grid_file, dirs_file, tmp_path):
+        out = tmp_path / "out.grd"
+        assert run(["apply", "--op", "m1", "--grid", str(grid_file),
+                    "--directions", str(dirs_file), "--out", str(out)]) == 0
+        g = Grid2D.load(grid_file)
+        cfg = OperatorConfig(tuple(0.25 * 2.0**k for k in range(4)), samples_per_unit=8)
+        omega = DirectionSet.from_json(json.loads(dirs_file.read_text()))
+        ref = tmp_path / "ref.grd"
+        m1(g, omega, cfg).save(ref)
+        assert out.read_bytes() == ref.read_bytes()
+        assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".tmp")] == []
 
     def test_gamma(self, grid_file, tmp_path):
         out = tmp_path / "out.grd"

@@ -1,16 +1,20 @@
 """Discrete maximal operators: quadrature, chain, and smoothing kernel."""
 
 import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.signal
+from hypothesis import example, given, settings, strategies as st
 
 from dirmax.errors import InvalidArgument, TruncationError
 from dirmax.grid_ops import (
     ChainReport,
     Grid2D,
     OperatorConfig,
+    _shift_add,
     chain_check,
     direction_vector,
     directional_avg,
@@ -81,6 +85,71 @@ class TestGrid2D:
         g.save_csv(p)
         g2 = Grid2D.load_csv(p, g.spacing)
         np.testing.assert_allclose(g2.values, g.values, rtol=1e-12)
+
+    def test_load_rejects_truncated_file(self, tmp_path):
+        p = tmp_path / "g.grd"
+        smooth_grid(0, n=9).save(p)
+        raw = p.read_bytes()
+        for cut in (len(raw) - 5, 20):
+            p.write_bytes(raw[:cut])
+            with pytest.raises(InvalidArgument):
+                Grid2D.load(p)
+
+    def test_load_rejects_forged_header_before_allocating(self, tmp_path):
+        p = tmp_path / "g.grd"
+        for side in (2048, 0xFFFFFFFF):  # claims 32 MB, then about 147 EB
+            p.write_bytes(struct.pack("<4sIIId", b"GRD2", side, side, 0, 0.125) + bytes(64))
+            tracemalloc.start()
+            try:
+                with pytest.raises(InvalidArgument, match="header declares"):
+                    Grid2D.load(p)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20
+
+
+def _slice_shift_add(out, src, di, dj, w):
+    """The 2-D slice add the row-band kernel replaced: the slow reference."""
+    if w == 0.0:
+        return
+    h, wdt = out.shape
+    i0, i1 = max(0, -di), min(h, h - di)
+    j0, j1 = max(0, -dj), min(wdt, wdt - dj)
+    if i0 >= i1 or j0 >= j1:
+        return
+    out[i0:i1, j0:j1] += w * src[i0 + di : i1 + di, j0 + dj : j1 + dj]
+
+
+class TestShiftAdd:
+    @given(
+        h=st.integers(1, 40),
+        wdt=st.integers(1, 40),
+        di=st.integers(-50, 50),
+        dj=st.integers(-50, 50),
+        w=st.one_of(st.just(0.0), st.floats(-4.0, 4.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(h=7, wdt=5, di=1, dj=5, w=0.5, seed=0)  # |dj| == W
+    @example(h=7, wdt=5, di=-2, dj=-9, w=0.5, seed=0)  # |dj| > W
+    @example(h=7, wdt=5, di=7, dj=1, w=0.5, seed=0)  # |di| == H
+    @example(h=7, wdt=5, di=-3, dj=0, w=0.5, seed=0)  # no wrapped columns
+    @example(h=7, wdt=5, di=1, dj=-2, w=0.0, seed=0)
+    @example(h=1, wdt=1, di=0, dj=0, w=1.5, seed=0)
+    @settings(max_examples=400, deadline=None)
+    def test_matches_slice_reference_bitwise(self, h, wdt, di, dj, w, seed):
+        rng = np.random.default_rng(seed)
+        src = rng.standard_normal((h, wdt))
+        ref = rng.standard_normal((h, wdt))
+        out = ref.copy()
+        _slice_shift_add(ref, src, di, dj, w)
+        _shift_add(out, src, di, dj, w)
+        assert out.tobytes() == ref.tobytes()
+
+    def test_rejects_fortran_order(self):
+        out = np.asfortranarray(np.zeros((4, 6)))
+        with pytest.raises(ValueError):
+            _shift_add(out, np.ones((4, 6)), 1, 1, 1.0)
 
 
 class TestDirectionalAvg:
@@ -283,6 +352,16 @@ class TestM2:
 
         offs = m2(g, om, replace(CFG, offset_steps=2)).values
         assert float(np.max(centered - offs)) <= 1e-12
+
+
+class TestMemoryOrder:
+    @pytest.mark.parametrize("op", [m0, m1, m2])
+    def test_fortran_input_gives_identical_bits(self, op):
+        a = np.random.default_rng(5).uniform(0, 1, (37, 52))
+        om = DirectionSet((0.03, 0.17, 0.31, 0.62))
+        c = op(Grid2D(a, 1 / 16), om, CFG).values
+        f = op(Grid2D(np.asfortranarray(a), 1 / 16), om, CFG).values
+        assert f.tobytes() == c.tobytes()
 
 
 class TestStrongMaximal:

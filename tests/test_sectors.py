@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dirmax.errors import InvalidArgument, PreconditionViolation
 from dirmax.grid_ops import Grid2D, OperatorConfig
@@ -13,6 +14,7 @@ from dirmax.lacunary import (
 from dirmax.sectors import (
     MAX_POLE_STRIP_OVERLAP,
     MAX_TOP_OVERLAP,
+    STRIP_HALF_WIDTH,
     ContainmentReport,
     FrequencyBand,
     Sector,
@@ -28,6 +30,8 @@ from dirmax.sectors import (
     strip_multiplier_energy,
     support_containment_check,
     validate_pole_gap_chain,
+    _strip_arrays,
+    _sweep_max,
 )
 
 
@@ -120,6 +124,81 @@ class TestOverlap:
         d = random_complete_decomposition(np.random.default_rng(2), 2)
         with pytest.raises(InvalidArgument):
             overlap_count(d, (-1.0, 0.0))
+
+
+def _numpy_sweep_max(tau, centers):
+    """The per-activation numpy sweep that the bisect sweep replaced: the
+    slow reference."""
+    if len(tau) == 0:
+        return 0, (1.0, 0.0)
+    order = np.argsort(tau, kind="stable")
+    tau, centers = tau[order], centers[order]
+    best, arg = 0, (float(tau[0]) * 2.0, float(centers[0]) * 2.0 * tau[0])
+    active = np.empty(len(tau))
+    n_act = 0
+    for t, c in zip(tau, centers):
+        pos = int(np.searchsorted(active[:n_act], c))
+        active[pos + 1 : n_act + 1] = active[pos:n_act].copy()
+        active[pos] = c
+        n_act += 1
+        x1 = t * (1.0 + 1e-12)
+        width = 2.0 * STRIP_HALF_WIDTH / x1
+        arr = active[:n_act]
+        lo = int(np.searchsorted(arr, c - width, side="left"))
+        hi = int(np.searchsorted(arr, c + width, side="right"))
+        if hi - lo <= best:
+            continue
+        cut = int(np.searchsorted(arr, c, side="right"))
+        starts = arr[lo:cut]
+        ends = starts + width
+        cnts = (
+            np.searchsorted(arr, ends, side="right")
+            - np.searchsorted(arr, starts, side="left")
+        )
+        cnts = np.where(ends >= c, cnts, 0)
+        k = int(np.argmax(cnts))
+        if cnts[k] > best:
+            best = int(cnts[k])
+            arg = (x1, (starts[k] + 0.5 * width) * x1)
+    return best, arg
+
+
+class TestSweepMax:
+    @given(
+        n=st.integers(0, 120),
+        seed=st.integers(0, 2**32 - 1),
+        tau_scale=st.sampled_from([1.0, 30.0, 1e3]),
+        ties=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_numpy_reference_exactly(self, n, seed, tau_scale, ties):
+        rng = np.random.default_rng(seed)
+        tau = tau_scale * rng.uniform(0.5, 20.0, n)
+        centers = rng.uniform(-1.0, 1.0, n)
+        if ties:  # repeated thresholds and centers
+            tau = np.round(tau, 0) + 1.0
+            centers = np.round(centers, 1)
+        best, arg = _sweep_max(tau, centers)
+        ref_best, ref_arg = _numpy_sweep_max(tau, centers)
+        assert best == ref_best
+        assert [float(v) for v in arg] == [float(v) for v in ref_arg]
+
+    def test_window_edges_are_closed(self):
+        # two strips whose centers are exactly one window width apart are
+        # both counted (|sigma - center| <= 5 / x1 is a closed condition)
+        t = 3.0
+        width = 2.0 * STRIP_HALF_WIDTH / (t * (1.0 + 1e-12))
+        tau, centers = np.array([t, t]), np.array([0.0, width])
+        assert _sweep_max(tau, centers) == _numpy_sweep_max(tau, centers)
+        assert _sweep_max(tau, centers)[0] == 2
+
+    def test_decompositions_match_numpy_reference(self):
+        rng = np.random.default_rng(3)
+        for mu in range(1, 9):
+            d = random_complete_decomposition(rng, mu)
+            tau_l, cen_l, tau_t, cen_t = _strip_arrays(d, True)
+            for tau, cen in ((tau_l, cen_l), (tau_t, cen_t)):
+                assert _sweep_max(tau, cen) == _numpy_sweep_max(tau, cen)
 
 
 class TestSectorMultiplier:
