@@ -96,11 +96,15 @@ def _numbers(data, what: str) -> list[float]:
     raise InvalidArgument(f"{what} must be a JSON array of numbers")
 
 
-def _parse_pair(text: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise InvalidArgument(f"expected two comma-separated numbers, got {text!r}")
-    return float(parts[0]), float(parts[1])
+def _parse_list(text: str, flag: str, kind=float, count: Optional[int] = None) -> list:
+    """The comma-separated values of ``flag`` as ``kind``; InvalidArgument if not."""
+    try:
+        values = [kind(v) for v in text.split(",")]
+    except ValueError:
+        values = []  # a split never returns an empty list
+    if not values or (count and len(values) != count):
+        raise InvalidArgument(f"{flag} expects comma-separated {kind.__name__}s, got {text!r}")
+    return values
 
 
 def _load_grid(path: str, spacing: Optional[float]) -> Grid2D:
@@ -118,7 +122,7 @@ def _load_grid(path: str, spacing: Optional[float]) -> Grid2D:
 
 def _cmd_decompose(args) -> int:
     data = _load_json(args.input)
-    domain = _parse_pair(args.domain) if args.domain else None
+    domain = tuple(_parse_list(args.domain, "--domain", count=2)) if args.domain else None
     if args.mode == "binary":
         decomp = binary_decomposition(_numbers(data, "binary mode input"), gap=args.gap)
     else:
@@ -143,7 +147,7 @@ def _cmd_kernel_table(args) -> int:
         "zeta": "majorant_zeta",
     }[args.kind]
     spec = KernelSpec(kind, r=args.r, h=args.h)
-    a, b = _parse_pair(args.range)
+    a, b = _parse_list(args.range, "--range", count=2)
     if args.samples < 1:
         raise InvalidArgument("--samples must be >= 1")
     # open-interval uniform sampling: n nodes strictly between the endpoints
@@ -155,7 +159,7 @@ def _cmd_kernel_table(args) -> int:
 
 def _operator_config(args, spacing: float) -> OperatorConfig:
     if args.radii:
-        radii = tuple(float(v) for v in args.radii.split(","))
+        radii = tuple(_parse_list(args.radii, "--radii"))
     else:
         radii = tuple(0.25 * 2.0**k for k in range(4))
     return OperatorConfig(
@@ -254,7 +258,7 @@ def _cmd_check_support(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    values = [int(v) for v in args.values.split(",")]
+    values = _parse_list(args.values, "--values", int)
     ops = tuple(args.ops.split(","))
     family = tuple(args.family.split(","))
     if args.mode == "N":

@@ -42,6 +42,7 @@ results are reproducible bit for bit.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import struct
 from dataclasses import dataclass, field, replace
@@ -176,8 +177,11 @@ class Grid2D:
 
     @staticmethod
     def load_csv(path, spacing: float) -> "Grid2D":
-        data = np.atleast_2d(np.loadtxt(path, delimiter=","))
-        return Grid2D(data, spacing)
+        try:
+            data = np.loadtxt(path, delimiter=",")
+        except ValueError as exc:
+            raise InvalidArgument(f"{path}: malformed CSV grid ({exc})") from None
+        return Grid2D(np.atleast_2d(data), spacing)
 
 
 @dataclass(frozen=True)
@@ -213,6 +217,9 @@ class OperatorConfig:
             raise InvalidArgument("samples_per_unit must be >= 1")
         if self.aspect_levels < 0 or self.offset_steps < 0:
             raise InvalidArgument("aspect_levels and offset_steps must be >= 0")
+        cap = self.direct_nodes_cap
+        if isinstance(cap, bool) or not isinstance(cap, numbers.Integral) or cap < 1:
+            raise InvalidArgument(f"direct_nodes_cap must be a positive integer, got {cap!r}")
 
     @staticmethod
     def dyadic(base: float, levels: int, **kw) -> "OperatorConfig":
@@ -387,28 +394,25 @@ def _require_directions(omega: DirectionSet) -> tuple[float, ...]:
 def m0(f: Grid2D, omega: DirectionSet, cfg: Optional[OperatorConfig] = None) -> Grid2D:
     """Unit-half-length directional average field, maximized over directions.
 
-    With a config whose ladder contains delta = 1, the field is the exact
-    delta = 1 candidate of ``m1`` (so m0 <= m1 holds sample by sample);
-    without one it is the direct trapezoid field.
+    The field is the delta = 1 level of the config's ladder cut at 1 (so m0 <=
+    m1 sample by sample), or of the ladder (1.0,) when 1.0 is not a radius;
+    without a config the density is one node per grid step.
     """
     dirs = _require_directions(omega)
     if f.spacing > 0.125:
         raise InvalidArgument("grid spacing must be <= 1/8 to resolve unit averages")
+    if cfg is None:
+        cfg = OperatorConfig((1.0,), samples_per_unit=max(1, round(1.0 / f.spacing)))
+    ladder = tuple(r for r in cfg.radii if r <= 1.0) if 1.0 in cfg.radii else (1.0,)
     src = np.abs(f.values, order="C")  # the shift-add kernel needs C order
     out = np.zeros_like(src)
     for s in dirs:
-        e = direction_vector(s)
-        if cfg is not None and 1.0 in cfg.radii:
-            ladder = [r for r in cfg.radii if r <= 1.0]
-            for delta, fld in _avg_field_ladder(
-                src, e, ladder, f.spacing, cfg.samples_per_unit, cfg.direct_nodes_cap
-            ):
-                if delta == 1.0:
-                    np.maximum(out, fld, out=out)
-        else:
-            spu = cfg.samples_per_unit if cfg else max(1, round(1.0 / f.spacing))
-            fld = _trapezoid_field(src, e, 1.0, _base_segments(1.0, spu), f.spacing)
-            np.maximum(out, fld, out=out)
+        for delta, fld in _avg_field_ladder(
+            src, direction_vector(s), ladder, f.spacing, cfg.samples_per_unit,
+            cfg.direct_nodes_cap,
+        ):
+            if delta == 1.0:
+                np.maximum(out, fld, out=out)
     return f.with_values(out)
 
 

@@ -31,13 +31,7 @@ import numpy as np
 
 from .errors import InvalidArgument
 from .grid_ops import Grid2D, OperatorConfig, direction_vector, m0, m1, m2
-from .lacunary import (
-    DirectionSet,
-    LacunaryDecomposition,
-    _StageGroup,
-    _assemble,
-    adjacent_intervals,
-)
+from .lacunary import DirectionSet, LacunaryDecomposition, staged_complete_decomposition
 
 __all__ = [
     "TestFunctionSpec",
@@ -168,36 +162,19 @@ def staged_lacunary_directions(
     depth: int = 4,
     domain: tuple[float, float] = (0.0, 1.0),
 ) -> LacunaryDecomposition:
-    """Deterministic complete staged construction of slopes in [0, 1].
-
-    Every stage inserts a complete both-side sequence (``depth`` points per
-    side, distance ratio 7/16, pole at the interval midpoint, first distance
-    3/4 of the half gap) into each adjacent interval.  Exact gap-1/2 ratios
-    are excluded by the strict lacunarity inequality, so 7/16 stands in for
-    the nominal gap 1/2.
+    """``staged_complete_decomposition`` with a fixed profile: pole at the
+    interval midpoint, first distance 3/4 of the cap, every ratio 7/16 (the
+    strict lacunarity inequality excludes the nominal gap 1/2 itself), every
+    interval filled.
     """
-    if mu < 1:
-        raise InvalidArgument("mu must be >= 1")
-    ratio = 7.0 / 16.0
-    current: list[float] = []
-    chain = []
-    groups = []
-    for stage in range(1, mu + 1):
-        gaps = adjacent_intervals(current, domain) if current else [domain]
-        new_pts: list[float] = []
-        for lo, hi in gaps:
-            pole = 0.5 * (lo + hi)
-            for sign, cap in ((1.0, hi - pole), (-1.0, pole - lo)):
-                d = 0.75 * cap
-                pts = []
-                for _ in range(depth):
-                    pts.append(pole + sign * d)
-                    d *= ratio
-                groups.append(_StageGroup(stage, pole, tuple(pts)))
-                new_pts.extend(pts)
-        current = sorted(set(current) | set(new_pts))
-        chain.append(tuple(current))
-    return _assemble(chain, 0.5, domain, groups, validate=False)
+    return staged_complete_decomposition(
+        mu,
+        depth,
+        pole=lambda lo, hi: 0.5 * (lo + hi),
+        first=lambda cap: 0.75 * cap,
+        ratio=lambda: 7.0 / 16.0,
+        domain=domain,
+    )
 
 
 def dedupe_angles(
@@ -237,8 +214,6 @@ _OPS = {"m0": m0, "m1": m1, "m2": m2}
 def _apply_op(op: str, f: Grid2D, omega: DirectionSet, cfg: OperatorConfig) -> Grid2D:
     if op not in _OPS:
         raise InvalidArgument(f"unknown operator {op!r}")
-    if op == "m0":
-        return m0(f, omega, cfg)
     return _OPS[op](f, omega, cfg)
 
 

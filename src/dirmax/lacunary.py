@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -48,6 +48,7 @@ __all__ = [
     "complete_decomposition",
     "perpendicular",
     "random_complete_decomposition",
+    "staged_complete_decomposition",
 ]
 
 # Ratio window of a complete lacunary sequence: ratios in [RATIO_LO, RATIO_HI).
@@ -211,9 +212,8 @@ def infer_pole(
         lo, hi = last, min(bounds)  # feasible poles: [lo, hi)
     if within is not None:
         lo, hi = max(lo, float(within[0])), min(hi, float(within[1]))
-    if not lo < hi and not (lo == hi and within is not None):
-        if not lo <= hi:
-            return None
+    if lo > hi:
+        return None
     width = hi - lo
     near, far = (hi, lo) if dec else (lo, hi)
     candidates = [
@@ -503,18 +503,9 @@ def _assemble(
     gap: float,
     domain: tuple[float, float],
     groups: Sequence[_StageGroup],
-    validate: bool = True,
 ) -> LacunaryDecomposition:
+    """Decomposition of a nested chain whose stage groups are already lacunary."""
     chain_t = tuple(tuple(sorted(set(_as_floats(s)))) for s in chain)
-    if validate:
-        for k in range(len(chain_t) - 1):
-            if not set(chain_t[k]) <= set(chain_t[k + 1]):
-                raise InvalidArgument(f"chain is not nested at stage {k + 1}")
-        for g in groups:
-            if not check_lacunary(g.points, g.pole, gap):
-                raise ValidationFailure(
-                    f"stage {g.stage} group about pole {g.pole} is not {gap}-lacunary"
-                )
     intervals = _assign_poles(chain_t, domain, groups)
     poles = tuple(sorted({g.pole for g in groups}))
     return LacunaryDecomposition(chain_t, gap, intervals, domain, poles, tuple(groups))
@@ -673,7 +664,7 @@ def binary_decomposition(
                 nxt.append((mid + 1, j))
         chain.append(tuple(sorted(set(chain[-1]) | set(added))))
         pending = nxt
-    return _assemble(chain, gap, domain, groups, validate=False)
+    return _assemble(chain, gap, domain, groups)
 
 
 # ---------------------------------------------------------------------------
@@ -852,12 +843,56 @@ def complete_decomposition(decomp: LacunaryDecomposition) -> LacunaryDecompositi
             new_chain.append(tuple(sorted(current)))
     if not set(decomp.final_set) <= set(new_chain[-1]):
         raise ValidationFailure("completion lost input points")
-    return _assemble(new_chain, min(lam, 0.5), domain, new_groups, validate=False)
+    return _assemble(new_chain, min(lam, 0.5), domain, new_groups)
 
 
 # ---------------------------------------------------------------------------
-# randomized complete constructions
+# staged complete constructions
 # ---------------------------------------------------------------------------
+
+
+def staged_complete_decomposition(
+    mu: int,
+    depth: int,
+    pole: Callable[[float, float], float],
+    first: Callable[[float], float],
+    ratio: Callable[[], float],
+    fill: Optional[Callable[[], bool]] = None,
+    domain: tuple[float, float] = (0.0, 1.0),
+) -> LacunaryDecomposition:
+    """Grow a complete mu-lacunary decomposition from a per-gap profile.
+
+    Each stage visits the adjacent intervals of the current set left to right
+    (stage 1: the domain) and, unless ``fill()`` is false after stage 1, puts
+    ``depth`` points on each side of ``pole(lo, hi)``, upper side first: the
+    distances start at ``first(cap)`` (cap: pole to interval end) and are
+    multiplied by ``ratio()`` after every point.  The callables run in that
+    order, so a random profile is reproducible from its generator.  A
+    complete profile keeps first(cap) in [cap/2, cap) and ratios in [1/4, 1/2).
+    """
+    if mu < 1:
+        raise InvalidArgument("mu must be >= 1")
+    current: list[float] = []
+    chain: list[tuple[float, ...]] = []
+    groups: list[_StageGroup] = []
+    for stage in range(1, mu + 1):
+        gaps = adjacent_intervals(current, domain) if current else [tuple(domain)]
+        new_pts: list[float] = []
+        for lo, hi in gaps:
+            if stage > 1 and fill is not None and not fill():
+                continue
+            p = pole(lo, hi)
+            for sign, cap in ((1.0, hi - p), (-1.0, p - lo)):
+                d = first(cap)
+                pts = []
+                for _ in range(depth):
+                    pts.append(p + sign * d)
+                    d *= ratio()
+                groups.append(_StageGroup(stage, p, tuple(pts)))
+                new_pts.extend(pts)
+        current = sorted(set(current) | set(new_pts))
+        chain.append(tuple(current))
+    return _assemble(chain, 0.5, domain, groups)
 
 
 def random_complete_decomposition(
@@ -867,35 +902,17 @@ def random_complete_decomposition(
     domain: tuple[float, float] = (0.0, 1.0),
     fill_probability: float = 1.0,
 ) -> LacunaryDecomposition:
-    """Generate a complete mu-lacunary decomposition directly.
-
-    Every stage inserts a complete both-side lacunary set (``depth`` points
-    per side, random ratios in [0.26, 0.49], random pole position) into each
-    adjacent interval, so every rank <= mu-1 interval carries a pole.
-    ``fill_probability`` < 1 leaves some intervals untouched at intermediate
-    stages (their poles then arrive later or never).
+    """``staged_complete_decomposition`` with a random profile drawn from ``rng``:
+    pole at a uniform fraction in [0.3, 0.7] of the interval, first distance a
+    uniform fraction in [0.55, 0.95] of the cap, ratios uniform in [0.26, 0.49],
+    and after stage 1 each interval filled with probability ``fill_probability``.
     """
-    if mu < 1:
-        raise InvalidArgument("mu must be >= 1")
-    a0, b0 = domain
-    current: list[float] = []
-    chain: list[tuple[float, ...]] = []
-    groups: list[_StageGroup] = []
-    for stage in range(1, mu + 1):
-        gaps = adjacent_intervals(current, domain) if current else [(a0, b0)]
-        new_pts: list[float] = []
-        for lo, hi in gaps:
-            if stage > 1 and fill_probability < 1.0 and rng.random() > fill_probability:
-                continue
-            pole = lo + (hi - lo) * rng.uniform(0.3, 0.7)
-            for sign, cap in ((1.0, hi - pole), (-1.0, pole - lo)):
-                d = cap * rng.uniform(0.55, 0.95)
-                pts = []
-                for _ in range(depth):
-                    pts.append(pole + sign * d)
-                    d *= rng.uniform(0.26, 0.49)
-                groups.append(_StageGroup(stage, pole, tuple(pts)))
-                new_pts.extend(pts)
-        current = sorted(set(current) | set(new_pts))
-        chain.append(tuple(current))
-    return _assemble(chain, 0.5, domain, groups, validate=False)
+    return staged_complete_decomposition(
+        mu,
+        depth,
+        pole=lambda lo, hi: lo + (hi - lo) * rng.uniform(0.3, 0.7),
+        first=lambda cap: cap * rng.uniform(0.55, 0.95),
+        ratio=lambda: rng.uniform(0.26, 0.49),
+        fill=(lambda: rng.random() <= fill_probability) if fill_probability < 1.0 else None,
+        domain=domain,
+    )

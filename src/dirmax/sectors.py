@@ -502,14 +502,10 @@ def support_containment_check(
 # ---------------------------------------------------------------------------
 
 
-def _slope_angle(slope: float) -> float:
-    return math.atan(slope) / (2.0 * math.pi)
-
-
 def iterated_maximal(f: Grid2D, slope: float, cfg: OperatorConfig) -> Grid2D:
     """M_slope M_vertical f: vertical maximal first, then along (1, slope)."""
-    inner = m1(f.abs(), DirectionSet((0.25,)), cfg)
-    return m1(inner, DirectionSet((_slope_angle(slope),)), cfg)
+    inner = m1(f, DirectionSet((0.25,)), cfg)
+    return m1(inner, DirectionSet.from_slopes((slope,)), cfg)
 
 
 def domination_ratio(

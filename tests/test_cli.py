@@ -75,6 +75,40 @@ class TestExitCodes:
         assert err.startswith("dirmax: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", ["1,2\n3\n", "1,2\n3,x\n"], ids=["ragged", "non-number"])
+    def test_malformed_csv_grid_is_validation_failure(self, dirs_file, tmp_path, capsys, text):
+        src = tmp_path / "g.csv"
+        src.write_text(text)
+        out = tmp_path / "o.grd"
+        assert run(["apply", "--op", "m1", "--grid", str(src), "--spacing", "0.125",
+                    "--directions", str(dirs_file), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("dirmax: ") and "CSV" in err and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["apply", "--op", "m1", "--radii", "0.25,half", "--directions", "DIRS"],
+            ["sweep", "--mode", "N", "--values", "4,many"],
+            ["sweep", "--mode", "N", "--values", "4,16.5"],
+            ["kernel-table", "--kind", "bump", "--range", "0,one", "--samples", "2"],
+            ["kernel-table", "--kind", "bump", "--range", "0,1,2", "--samples", "2"],
+            ["decompose", "--mode", "binary", "--input", "DIRS", "--domain", "0,b"],
+        ],
+        ids=["radii", "values", "values-float", "range", "range-triple", "domain"],
+    )
+    def test_non_numeric_flag_is_validation_failure(
+        self, grid_file, dirs_file, tmp_path, capsys, argv
+    ):
+        argv = [str(dirs_file) if a == "DIRS" else a for a in argv]
+        if argv[0] == "apply":
+            argv += ["--grid", str(grid_file), "--out", str(tmp_path / "o.grd")]
+        flag = next(a for a in argv if a in ("--radii", "--values", "--range", "--domain"))
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"dirmax: {flag} expects ") and err.count("\n") == 1
+
     def test_removed_noop_flags_are_usage_errors(self, tmp_path):
         assert run(["--threads", "2", "kernel-table", "--kind", "bump",
                     "--range", "0,1", "--samples", "2"]) == 1

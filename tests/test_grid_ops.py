@@ -14,7 +14,10 @@ from dirmax.grid_ops import (
     ChainReport,
     Grid2D,
     OperatorConfig,
+    _avg_field_ladder,
+    _base_segments,
     _shift_add,
+    _trapezoid_field,
     chain_check,
     direction_vector,
     directional_avg,
@@ -219,6 +222,59 @@ class TestM0:
     def test_empty_directions_rejected(self):
         with pytest.raises(InvalidArgument):
             m0(smooth_grid(0), DirectionSet(()))
+
+
+def _two_branch_m0(f: Grid2D, omega: DirectionSet, cfg=None) -> np.ndarray:
+    """Reference: m0 with a ladder branch for 1.0 in the radii and a direct
+    trapezoid branch otherwise."""
+    src = np.abs(f.values, order="C")
+    out = np.zeros_like(src)
+    for s in omega.values:
+        e = direction_vector(s)
+        if cfg is not None and 1.0 in cfg.radii:
+            ladder = [r for r in cfg.radii if r <= 1.0]
+            for delta, fld in _avg_field_ladder(
+                src, e, ladder, f.spacing, cfg.samples_per_unit, cfg.direct_nodes_cap
+            ):
+                if delta == 1.0:
+                    np.maximum(out, fld, out=out)
+        else:
+            spu = cfg.samples_per_unit if cfg else max(1, round(1.0 / f.spacing))
+            fld = _trapezoid_field(src, e, 1.0, _base_segments(1.0, spu), f.spacing)
+            np.maximum(out, fld, out=out)
+    return out
+
+
+class TestOperatorConfig:
+    @pytest.mark.parametrize("cap", [0, -3, 9.0, 2.5, True, "9", None])
+    def test_direct_nodes_cap_must_be_positive_integer(self, cap):
+        with pytest.raises(InvalidArgument, match="direct_nodes_cap"):
+            OperatorConfig((1.0,), direct_nodes_cap=cap)
+
+    @pytest.mark.parametrize("cap", [1, 9, np.int64(129)])
+    def test_direct_nodes_cap_accepts_positive_integers(self, cap):
+        assert OperatorConfig((1.0,), direct_nodes_cap=cap).direct_nodes_cap == cap
+
+
+class TestM0Reference:
+    # the delta = 1 level has 33 nodes: direct under the default cap 129,
+    # cascaded under cap 9
+    CONFIGS = {
+        "direct-unit-level": OperatorConfig.dyadic(0.25, 3),
+        "cascaded-unit-level": OperatorConfig.dyadic(0.25, 4, direct_nodes_cap=9),
+        "no-unit-radius": OperatorConfig.dyadic(0.3, 3, samples_per_unit=12),
+        "no-config": None,
+    }
+
+    @pytest.mark.parametrize("name", list(CONFIGS))
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_two_branch_reference_bitwise(self, name, seed):
+        cfg = self.CONFIGS[name]
+        rng = np.random.default_rng(seed)
+        f = Grid2D(rng.standard_normal((40, 52)), 1 / 8)
+        omega = DirectionSet((0.0, 0.25, *rng.uniform(0, 1, 3)))
+        got = m0(f, omega, cfg).values
+        assert got.tobytes() == _two_branch_m0(f, omega, cfg).tobytes()
 
 
 class TestM1:

@@ -20,7 +20,8 @@ from dirmax.harness import (
     sweep_mu,
     uniform_directions,
 )
-from dirmax.lacunary import DirectionSet
+from dirmax.lacunary import DirectionSet, _assemble, _StageGroup, adjacent_intervals
+from test_lacunary import decomposition_bits
 
 
 class TestGenerate:
@@ -58,6 +59,28 @@ class TestGenerate:
         assert g.values.sum() == 1.0 and g.values[16, 16] == 1.0
 
 
+def _staged_stage_loop(mu, depth=4, domain=(0.0, 1.0)):
+    """Reference: the deterministic staged construction as its own stage loop."""
+    ratio = 7.0 / 16.0
+    current, chain, groups = [], [], []
+    for stage in range(1, mu + 1):
+        gaps = adjacent_intervals(current, domain) if current else [domain]
+        new_pts = []
+        for lo, hi in gaps:
+            pole = 0.5 * (lo + hi)
+            for sign, cap in ((1.0, hi - pole), (-1.0, pole - lo)):
+                d = 0.75 * cap
+                pts = []
+                for _ in range(depth):
+                    pts.append(pole + sign * d)
+                    d *= ratio
+                groups.append(_StageGroup(stage, pole, tuple(pts)))
+                new_pts.extend(pts)
+        current = sorted(set(current) | set(new_pts))
+        chain.append(tuple(current))
+    return _assemble(chain, 0.5, domain, groups)
+
+
 class TestDirections:
     def test_uniform_nested(self):
         a = set(uniform_directions(4).values)
@@ -76,6 +99,13 @@ class TestDirections:
         small = set(staged_lacunary_directions(2).final_set)
         large = set(staged_lacunary_directions(3).final_set)
         assert small <= large
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("mu", range(1, 7))
+    def test_staged_matches_stage_loop_bitwise(self, mu, depth):
+        got = staged_lacunary_directions(mu, depth=depth)
+        ref = _staged_stage_loop(mu, depth)
+        assert decomposition_bits(got) == decomposition_bits(ref)
 
     def test_dedupe_resolution_and_nesting(self):
         vals = [0.0, 0.001, 0.1, 0.1004, 0.3]

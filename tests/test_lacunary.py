@@ -1,5 +1,6 @@
 """Lacunary sequences, decompositions, completions."""
 
+import json
 import math
 
 import numpy as np
@@ -13,6 +14,8 @@ from dirmax.lacunary import (
     LacunarySequence,
     RATIO_HI,
     RATIO_LO,
+    _assemble,
+    _StageGroup,
     adjacent_intervals,
     binary_decomposition,
     build_decomposition,
@@ -328,6 +331,59 @@ class TestRandomComplete:
             dd = [abs(v - g.pole) for v in g.points]
             assert dd[0] > 0
             assert all(RATIO_LO <= y / x < RATIO_HI for x, y in zip(dd, dd[1:]))
+
+
+def decomposition_bits(d):
+    """Everything a decomposition holds, as exact text: JSON plus stage groups."""
+    groups = [(g.stage, g.pole.hex(), [v.hex() for v in g.points]) for g in d.groups]
+    return json.dumps(d.to_json(), sort_keys=True), groups
+
+
+def _random_stage_loop(rng, mu, depth=1, domain=(0.0, 1.0), fill_probability=1.0):
+    """Reference: the random complete construction as its own stage loop."""
+    a0, b0 = domain
+    current, chain, groups = [], [], []
+    for stage in range(1, mu + 1):
+        gaps = adjacent_intervals(current, domain) if current else [(a0, b0)]
+        new_pts = []
+        for lo, hi in gaps:
+            if stage > 1 and fill_probability < 1.0 and rng.random() > fill_probability:
+                continue
+            pole = lo + (hi - lo) * rng.uniform(0.3, 0.7)
+            for sign, cap in ((1.0, hi - pole), (-1.0, pole - lo)):
+                d = cap * rng.uniform(0.55, 0.95)
+                pts = []
+                for _ in range(depth):
+                    pts.append(pole + sign * d)
+                    d *= rng.uniform(0.26, 0.49)
+                groups.append(_StageGroup(stage, pole, tuple(pts)))
+                new_pts.extend(pts)
+        current = sorted(set(current) | set(new_pts))
+        chain.append(tuple(current))
+    return _assemble(chain, 0.5, domain, groups)
+
+
+class TestRandomCompleteReference:
+    @pytest.mark.parametrize("fill", [1.0, 0.35])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("mu", range(1, 7))
+    def test_matches_stage_loop_bitwise(self, mu, depth, fill):
+        for seed in (0, 1):
+            got = random_complete_decomposition(
+                np.random.default_rng(seed), mu, depth, fill_probability=fill
+            )
+            ref = _random_stage_loop(
+                np.random.default_rng(seed), mu, depth, fill_probability=fill
+            )
+            assert decomposition_bits(got) == decomposition_bits(ref)
+
+    def test_domain_and_generator_state(self):
+        rng_a, rng_b = np.random.default_rng(7), np.random.default_rng(7)
+        got = random_complete_decomposition(rng_a, 3, 2, (-2.0, 5.0), 0.5)
+        ref = _random_stage_loop(rng_b, 3, 2, (-2.0, 5.0), 0.5)
+        assert decomposition_bits(got) == decomposition_bits(ref)
+        # the builder drew exactly as many numbers as the stage loop
+        assert rng_a.random() == rng_b.random()
 
 
 class TestPerpendicular:
