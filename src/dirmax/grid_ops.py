@@ -45,6 +45,7 @@ import math
 import numbers
 import os
 import struct
+import warnings
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -91,6 +92,8 @@ class Grid2D:
         v = np.asarray(self.values)
         if v.ndim != 2:
             raise InvalidArgument("grid values must be a 2-d array")
+        if v.size == 0:
+            raise InvalidArgument(f"grid has no samples ({v.shape[0]}x{v.shape[1]})")
         if v.dtype.kind not in "fc":
             v = v.astype(float)
         if not np.all(np.isfinite(v)):
@@ -178,7 +181,10 @@ class Grid2D:
     @staticmethod
     def load_csv(path, spacing: float) -> "Grid2D":
         try:
-            data = np.loadtxt(path, delimiter=",")
+            with warnings.catch_warnings():
+                # an empty file is rejected below, as a grid with no samples
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(path, delimiter=",")
         except ValueError as exc:
             raise InvalidArgument(f"{path}: malformed CSV grid ({exc})") from None
         return Grid2D(np.atleast_2d(data), spacing)

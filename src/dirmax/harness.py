@@ -21,6 +21,7 @@ reproducible independently of execution order.
 
 from __future__ import annotations
 
+import bisect
 import math
 import time
 import warnings
@@ -191,8 +192,6 @@ def dedupe_angles(
     """
     out = sorted(set(keep))
     for v in sorted(values):
-        import bisect
-
         i = bisect.bisect_left(out, v)
         near = []
         if i > 0:
@@ -388,7 +387,6 @@ def sweep_N(
 
 def sweep_mu(
     mus: Sequence[int],
-    gap: float = 0.5,
     family_kinds: Sequence[str] = ("disk", "needles", "random"),
     ops: Sequence[str] = ("m1",),
     size: int = 512,
@@ -399,16 +397,14 @@ def sweep_mu(
 
     Directions are the slopes of the order-mu construction converted to
     angles and thinned to the grid's angular resolution; the thinned families
-    are nested across mu so ratios are monotone.  ``gap`` is fixed by the
-    construction (see staged_lacunary_directions).
+    are nested across mu so ratios are monotone.  The construction has gap
+    1/2 (see staged_lacunary_directions).
 
     ``depth`` = 2 keeps the construction's stage structure resolvable: a grid
     of side n distinguishes only ~n/4 directions over its own extent, and
     deeper completions merely add sub-resolution duplicates that flatten the
     measured ratios while sqrt(mu) keeps growing.
     """
-    if gap != 0.5:
-        raise InvalidArgument("the staged construction realizes gap 1/2 only")
     if any(b <= a for a, b in zip(mus, mus[1:])):
         raise InvalidArgument("orders must be increasing")
     rows = []

@@ -281,7 +281,7 @@ class RankInterval:
     def __post_init__(self):
         if not (self.lo < self.hi):
             raise InvalidArgument(f"empty interval ({self.lo}, {self.hi})")
-        if self.rank < 1:
+        if self.rank < 1 or self.rank != int(self.rank):
             raise InvalidArgument("rank must be a positive integer")
         if self.pole is not None and not (self.lo < self.pole < self.hi):
             raise ValidationFailure(
@@ -302,9 +302,14 @@ class _StageGroup:
     points: tuple[float, ...]  # ordered by decreasing distance to the pole
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LacunaryDecomposition:
     """A nested chain of direction sets with rank intervals and poles.
+
+    The rank intervals are four read-only arrays in rank, then left-to-right
+    order: ``lo``, ``hi``, ``rank`` (int64) and ``pole`` (NaN if untagged).
+    ``RankInterval`` objects exist only at the edges: ``rank_intervals`` and
+    ``intervals_of_rank`` build them, ``from_json`` validates through them.
 
     ``poles`` lists every pole used in the construction (one or two per
     inserted group), whether or not it ended up tagging a rank interval.
@@ -312,10 +317,17 @@ class LacunaryDecomposition:
 
     chain: tuple[tuple[float, ...], ...]
     gap: float
-    rank_intervals: tuple[RankInterval, ...]
+    lo: np.ndarray = field(repr=False)
+    hi: np.ndarray = field(repr=False)
+    rank: np.ndarray = field(repr=False)
+    pole: np.ndarray = field(repr=False)
     domain: tuple[float, float]
     poles: tuple[float, ...] = ()
     groups: tuple[_StageGroup, ...] = field(default=(), repr=False)
+
+    def __post_init__(self):
+        for a in (self.lo, self.hi, self.rank, self.pole):
+            a.flags.writeable = False
 
     @property
     def order(self) -> int:
@@ -325,6 +337,15 @@ class LacunaryDecomposition:
     def final_set(self) -> tuple[float, ...]:
         return self.chain[-1]
 
+    def _rows(self):
+        """(lo, hi, rank, pole or None) per rank interval, as Python numbers."""
+        cols = (self.lo.tolist(), self.hi.tolist(), self.rank.tolist(), self.pole.tolist())
+        return ((a, b, k, None if math.isnan(p) else p) for a, b, k, p in zip(*cols))
+
+    @property
+    def rank_intervals(self) -> tuple[RankInterval, ...]:
+        return tuple(RankInterval(*row) for row in self._rows())
+
     def intervals_of_rank(self, rank: int) -> tuple[RankInterval, ...]:
         return tuple(j for j in self.rank_intervals if j.rank == rank)
 
@@ -333,8 +354,7 @@ class LacunaryDecomposition:
             "gap": self.gap,
             "chain": [list(s) for s in self.chain],
             "rank_intervals": [
-                {"lo": j.lo, "hi": j.hi, "rank": j.rank, "pole": j.pole}
-                for j in self.rank_intervals
+                {"lo": a, "hi": b, "rank": k, "pole": p} for a, b, k, p in self._rows()
             ],
             "domain": list(self.domain),
             "poles": list(self.poles),
@@ -344,20 +364,23 @@ class LacunaryDecomposition:
     def from_json(data: dict) -> "LacunaryDecomposition":
         try:
             chain = tuple(tuple(sorted(float(v) for v in s)) for s in data["chain"])
-            intervals = tuple(
+            intervals = [
                 RankInterval(d["lo"], d["hi"], d["rank"], d.get("pole"))
                 for d in data["rank_intervals"]
-            )
-            domain = tuple(data.get("domain", (chain[-1][0], chain[-1][-1])))
-            poles = tuple(
-                data.get("poles", sorted({j.pole for j in intervals if j.pole is not None}))
-            )
+            ]
+            rows = [(j.lo, j.hi, j.rank, j.pole) for j in intervals]  # None -> NaN
+            lo, hi, rank, pole = np.array(rows, dtype=float).reshape(-1, 4).T.copy()
+            domain = _as_floats(data.get("domain", (chain[-1][0], chain[-1][-1])))
+            if len(domain) != 2 or not domain[0] < domain[1]:
+                raise ValueError(f"domain {list(domain)} is not [lo, hi] with lo < hi")
+            poles = _as_floats(data.get("poles", np.unique(pole[~np.isnan(pole)])))
             gap = float(data["gap"])
         except KeyError as exc:
             raise InvalidArgument(f"decomposition JSON lacks the key {exc}") from None
         except (AttributeError, IndexError, TypeError, ValueError) as exc:
             raise InvalidArgument(f"malformed decomposition JSON: {exc}") from None
-        return LacunaryDecomposition(chain, gap, intervals, domain, poles)
+        rank = rank.astype(np.int64)
+        return LacunaryDecomposition(chain, gap, lo, hi, rank, pole, domain, poles)
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -455,47 +478,29 @@ def _order_by_distance(points: Sequence[float], pole: float) -> tuple[float, ...
     return tuple(sorted(points, key=lambda v: -abs(v - pole)))
 
 
-def _assign_poles(
+def _rank_arrays(
     chain: Sequence[tuple[float, ...]],
     domain: tuple[float, float],
     groups: Sequence[_StageGroup],
-) -> tuple[RankInterval, ...]:
-    """Build all rank intervals and tag ranks <= mu-1 with their first pole.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(lo, hi, rank, pole) of all rank intervals; ranks <= mu-1 get their first pole.
 
-    "First" means smallest (stage, pole value): poles from earlier stages win,
-    ties within a stage resolve left to right.
+    "First" means smallest (stage, pole value) strictly inside: poles from
+    earlier stages win, ties within a stage resolve left to right.
     """
-    from bisect import bisect_right
-
     mu = len(chain)
-    by_stage: dict[int, list[float]] = {}
-    for g in groups:
-        by_stage.setdefault(g.stage, []).append(g.pole)
-    stage_poles = [(s, sorted(ps)) for s, ps in sorted(by_stage.items())]
-    intervals: list[RankInterval] = []
+    cand = np.array(sorted((g.stage, g.pole) for g in groups)).reshape(-1, 2)[:, 1]
+    cols = []
     for k in range(1, mu + 1):
-        gaps = adjacent_intervals(chain[k - 1], domain)
-        assigned: list[Optional[float]] = [None] * len(gaps)
+        lo, hi = np.array(adjacent_intervals(chain[k - 1], domain)).T
+        pole = np.full(len(lo), math.nan)
         if k <= mu - 1:
-            los = [g[0] for g in gaps]
-            remaining = len(gaps)
-            for _stage, ps in stage_poles:
-                if remaining == 0:
-                    break
-                for p in ps:
-                    i = bisect_right(los, p) - 1
-                    if (
-                        0 <= i
-                        and assigned[i] is None
-                        and gaps[i][0] < p < gaps[i][1]
-                    ):
-                        assigned[i] = p
-                        remaining -= 1
-        intervals.extend(
-            RankInterval(lo, hi, k, pole)
-            for (lo, hi), pole in zip(gaps, assigned)
-        )
-    return tuple(intervals)
+            i = np.searchsorted(lo, cand, side="right") - 1
+            inside = (i >= 0) & (lo[i] < cand) & (cand < hi[i])
+            gaps, first = np.unique(i[inside], return_index=True)
+            pole[gaps] = cand[inside][first]
+        cols.append((lo, hi, np.full(len(lo), k, dtype=np.int64), pole))
+    return tuple(np.concatenate(c) for c in zip(*cols))
 
 
 def _assemble(
@@ -506,9 +511,9 @@ def _assemble(
 ) -> LacunaryDecomposition:
     """Decomposition of a nested chain whose stage groups are already lacunary."""
     chain_t = tuple(tuple(sorted(set(_as_floats(s)))) for s in chain)
-    intervals = _assign_poles(chain_t, domain, groups)
+    arrays = _rank_arrays(chain_t, domain, groups)
     poles = tuple(sorted({g.pole for g in groups}))
-    return LacunaryDecomposition(chain_t, gap, intervals, domain, poles, tuple(groups))
+    return LacunaryDecomposition(chain_t, gap, *arrays, domain, poles, tuple(groups))
 
 
 def _split_groups_for_stage(

@@ -6,12 +6,14 @@ c in (a, b) is
     S_c(J) = { (x1, x2) : x1 > 1/(b - a),  |x2 - c x1| <= 5 },
 
 a slab of half-width 5 around the slope-c ray, activated only beyond the
-frequency 1/|J|.  For a complete lacunary decomposition the strips attached
-to the poled rank intervals overlap at most ``MAX_POLE_STRIP_OVERLAP`` (40)
-times at any point, and the endpoint strips of the top-rank intervals at
-most ``MAX_TOP_OVERLAP`` (12) times; ``max_overlap`` computes the exact
-maxima by an activation sweep (see its docstring for the exactness
-argument).
+frequency 1/|J|.  Every membership test here calls one rule, ``_in_strip``
+(strict x1 bound, closed slab bound), on strips read off a decomposition's
+interval arrays by masks.  For a complete lacunary decomposition the strips
+attached to the poled rank intervals overlap at most
+``MAX_POLE_STRIP_OVERLAP`` (40) times at any point, and the endpoint strips
+of the top-rank intervals at most ``MAX_TOP_OVERLAP`` (12) times;
+``max_overlap`` computes the exact maxima by an activation sweep (see its
+docstring for the exactness argument).
 
 ``sector_multiplier`` applies the sharp frequency cutoff 1_S to a sampled
 function: an orthogonal projection on the discrete Fourier lattice, hence
@@ -123,8 +125,7 @@ class FrequencyBand:
 
 def strip_contains(strip: Strip, p: tuple[float, float]) -> bool:
     """Membership in the strip; the x1 bound is strict, the slab bound closed."""
-    x1, x2 = p
-    return x1 > strip.min_x1 and abs(x2 - strip.center * x1) <= strip.half_width
+    return bool(_in_strip(p[0], p[1], strip.min_x1, strip.center, strip.half_width))
 
 
 # ---------------------------------------------------------------------------
@@ -135,9 +136,11 @@ def strip_contains(strip: Strip, p: tuple[float, float]) -> bool:
 def _strip_arrays(decomp: LacunaryDecomposition, require_poles: bool):
     """(tau, center) arrays for the poled strips and (tau, a, b) for top rank.
 
-    tau = 1/|J| is the activation threshold of a strip.  Rank <= mu-1
-    intervals without a pole contribute no strip; with ``require_poles`` they
-    raise instead (a complete decomposition always has them).
+    Masks over the interval arrays, keeping their order (``_sweep_max``
+    breaks witness ties by it).  tau = 1/|J| is the activation threshold of
+    a strip.  Rank <= mu-1 intervals without a pole contribute no strip;
+    with ``require_poles`` they raise instead (a complete decomposition
+    always has them).
 
     Top-rank intervals that contain a pole are excluded: such a gap only
     exists because each lacunary sequence is truncated at finite depth, and
@@ -148,34 +151,29 @@ def _strip_arrays(decomp: LacunaryDecomposition, require_poles: bool):
     faithful finite realization.
     """
     mu = decomp.order
-    poles = np.asarray(sorted(decomp.poles))
-    tau_low, centers = [], []
-    top_tau, top_centers = [], []
-    for j in decomp.rank_intervals:
-        if j.rank <= mu - 1:
-            if j.pole is None:
-                if require_poles:
-                    raise InvalidArgument(
-                        f"rank-{j.rank} interval ({j.lo}, {j.hi}) has no pole; "
-                        "overlap needs a complete decomposition "
-                        "(or pass require_poles=False to skip such intervals)"
-                    )
-                continue
-            tau_low.append(1.0 / j.width)
-            centers.append(j.pole)
-        if j.rank == mu:
-            if len(poles):
-                k = int(np.searchsorted(poles, j.lo, side="right"))
-                if k < len(poles) and poles[k] < j.hi:
-                    continue  # truncation stand-in, see above
-            top_tau.extend((1.0 / j.width, 1.0 / j.width))
-            top_centers.extend((j.lo, j.hi))
-    return (
-        np.asarray(tau_low),
-        np.asarray(centers),
-        np.asarray(top_tau),
-        np.asarray(top_centers),
+    lo, hi, rank, pole = decomp.lo, decomp.hi, decomp.rank, decomp.pole
+    tau = 1.0 / (hi - lo)
+    low = rank <= mu - 1
+    poleless = low & np.isnan(pole)
+    if require_poles and poleless.any():
+        j = int(np.argmax(poleless))
+        raise InvalidArgument(
+            f"rank-{rank[j]} interval ({lo[j]}, {hi[j]}) has no pole; "
+            "overlap needs a complete decomposition "
+            "(or pass require_poles=False to skip such intervals)"
+        )
+    low &= ~poleless
+    poles = np.sort(np.asarray(decomp.poles, dtype=float))
+    # truncation stand-ins (see above): a pole strictly inside the interval
+    top = (rank == mu) & (
+        np.searchsorted(poles, hi, side="left") <= np.searchsorted(poles, lo, side="right")
     )
+    return tau[low], pole[low], tau[top].repeat(2), np.stack((lo[top], hi[top]), 1).ravel()
+
+
+def _in_strip(x1, x2, tau, center, half_width=STRIP_HALF_WIDTH):
+    """Strip membership, broadcasting: x1 > tau strict, |x2 - center x1| <= half_width."""
+    return (x1 > tau) & (np.abs(x2 - center * x1) <= half_width)
 
 
 def overlap_count(
@@ -193,15 +191,8 @@ def overlap_count(
     if not x1 > 0:
         raise InvalidArgument("overlap is defined on the half plane x1 > 0")
     tau_l, cen_l, tau_t, cen_t = _strip_arrays(decomp, require_poles)
-
-    def count(tau, cen):
-        if len(tau) == 0:
-            return 0
-        act = x1 > tau
-        hit = np.abs(x2 - cen * x1) <= STRIP_HALF_WIDTH
-        return int(np.sum(act & hit))
-
-    return count(tau_l, cen_l), count(tau_t, cen_t)
+    n_low = int(np.sum(_in_strip(x1, x2, tau_l, cen_l)))
+    return n_low, int(np.sum(_in_strip(x1, x2, tau_t, cen_t)))
 
 
 def _sweep_max(tau: np.ndarray, centers: np.ndarray) -> tuple[int, tuple[float, float]]:
@@ -272,9 +263,7 @@ def max_overlap_with_argmax(
 
 def _region_mask(region: Union[Strip, Sector], xi1: np.ndarray, xi2: np.ndarray):
     if isinstance(region, Strip):
-        return (xi1 > region.min_x1) & (
-            np.abs(xi2 - region.center * xi1) <= region.half_width
-        )
+        return _in_strip(xi1, xi2, region.min_x1, region.center, region.half_width)
     if isinstance(region, Sector):
         with np.errstate(divide="ignore", invalid="ignore"):
             slope = np.where(xi1 != 0.0, xi2 / np.where(xi1 != 0, xi1, 1.0), np.inf)
@@ -332,10 +321,8 @@ def strip_multiplier_energy(
     fhat = np.fft.fft2(f.values)
     power = np.abs(fhat) ** 2
     count = np.zeros_like(power, dtype=np.int64)
-    x1 = xi1[None, :]
-    x2 = xi2[:, None]
     for t, c in zip(tau_l, cen_l):
-        count += (x1 > t) & (np.abs(x2 - c * x1) <= STRIP_HALF_WIDTH)
+        count += _in_strip(xi1[None, :], xi2[:, None], t, c)
     total = float(np.sum(power * count))
     denom = float(np.sum(power))
     scale = f.spacing**2 / (f.width * f.height)

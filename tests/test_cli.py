@@ -8,7 +8,11 @@ import pytest
 
 from dirmax.cli import run
 from dirmax.grid_ops import Grid2D, OperatorConfig, m1
-from dirmax.lacunary import DirectionSet, LacunaryDecomposition
+from dirmax.lacunary import (
+    DirectionSet,
+    LacunaryDecomposition,
+    random_complete_decomposition,
+)
 
 
 @pytest.fixture
@@ -75,16 +79,37 @@ class TestExitCodes:
         assert err.startswith("dirmax: ") and err.count("\n") == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("text", ["1,2\n3\n", "1,2\n3,x\n"], ids=["ragged", "non-number"])
-    def test_malformed_csv_grid_is_validation_failure(self, dirs_file, tmp_path, capsys, text):
+    @pytest.mark.parametrize(
+        "text, fragment",
+        [("1,2\n3\n", "CSV"), ("1,2\n3,x\n", "CSV"), ("", "no samples")],
+        ids=["ragged", "non-number", "empty"],
+    )
+    def test_malformed_csv_grid_is_validation_failure(
+        self, dirs_file, tmp_path, capsys, recwarn, text, fragment
+    ):
         src = tmp_path / "g.csv"
         src.write_text(text)
         out = tmp_path / "o.grd"
         assert run(["apply", "--op", "m1", "--grid", str(src), "--spacing", "0.125",
                     "--directions", str(dirs_file), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("dirmax: ") and "CSV" in err and err.count("\n") == 1
+        assert err.startswith("dirmax: ") and fragment in err and err.count("\n") == 1
         assert not out.exists()
+        assert not [w for w in recwarn if issubclass(w.category, UserWarning)]
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("poles", ["a"]), ("domain", ["x", 1.0]), ("domain", [0.0])],
+        ids=["pole-string", "domain-string", "domain-one-value"],
+    )
+    def test_malformed_decomposition_is_validation_failure(self, tmp_path, capsys, key, value):
+        data = random_complete_decomposition(np.random.default_rng(0), 3).to_json()
+        data[key] = value
+        src = tmp_path / "d.json"
+        src.write_text(json.dumps(data))
+        assert run(["overlap", "--decomp", str(src), "--out", str(tmp_path / "o.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("dirmax: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "argv",

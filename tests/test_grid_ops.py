@@ -98,6 +98,14 @@ class TestGrid2D:
             with pytest.raises(InvalidArgument):
                 Grid2D.load(p)
 
+    def test_load_rejects_grid_without_samples(self, tmp_path):
+        p = tmp_path / "g.grd"
+        p.write_bytes(struct.pack("<4sIIId", b"GRD2", 0, 7, 0, 0.125))
+        with pytest.raises(InvalidArgument, match="no samples"):
+            Grid2D.load(p)
+        with pytest.raises(InvalidArgument, match="no samples"):
+            Grid2D(np.zeros((3, 0)), 0.125)
+
     def test_load_rejects_forged_header_before_allocating(self, tmp_path):
         p = tmp_path / "g.grd"
         for side in (2048, 0xFFFFFFFF):  # claims 32 MB, then about 147 EB

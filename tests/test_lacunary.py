@@ -2,18 +2,22 @@
 
 import json
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dirmax.errors import InvalidArgument, PreconditionViolation, ValidationFailure
+from dirmax.harness import staged_lacunary_directions
 from dirmax.lacunary import (
     CompleteLacunarySpec,
     DirectionSet,
+    LacunaryDecomposition,
     LacunarySequence,
     RATIO_HI,
     RATIO_LO,
+    RankInterval,
     _assemble,
     _StageGroup,
     adjacent_intervals,
@@ -384,6 +388,136 @@ class TestRandomCompleteReference:
         assert decomposition_bits(got) == decomposition_bits(ref)
         # the builder drew exactly as many numbers as the stage loop
         assert rng_a.random() == rng_b.random()
+
+
+def _assign_poles_loop(chain, domain, groups):
+    """The per-gap loop that the array tagging replaced: the slow reference."""
+    mu = len(chain)
+    by_stage = {}
+    for g in groups:
+        by_stage.setdefault(g.stage, []).append(g.pole)
+    stage_poles = [(s, sorted(ps)) for s, ps in sorted(by_stage.items())]
+    intervals = []
+    for k in range(1, mu + 1):
+        gaps = adjacent_intervals(chain[k - 1], domain)
+        assigned = [None] * len(gaps)
+        if k <= mu - 1:
+            los = [g[0] for g in gaps]
+            remaining = len(gaps)
+            for _stage, ps in stage_poles:
+                if remaining == 0:
+                    break
+                for p in ps:
+                    i = bisect_right(los, p) - 1
+                    if 0 <= i and assigned[i] is None and gaps[i][0] < p < gaps[i][1]:
+                        assigned[i] = p
+                        remaining -= 1
+        intervals.extend(
+            RankInterval(lo, hi, k, pole) for (lo, hi), pole in zip(gaps, assigned)
+        )
+    return tuple(intervals)
+
+
+def _corpus_builders():
+    """Name -> zero-argument builder; every call builds the same decomposition."""
+    out = {}
+    for mu in range(1, 8):
+        for depth in (1, 2):
+            for fill in (1.0, 0.35):
+                out[f"random-mu{mu}-depth{depth}-fill{fill}"] = (
+                    lambda mu=mu, depth=depth, fill=fill: random_complete_decomposition(
+                        np.random.default_rng(mu), mu, depth, fill_probability=fill
+                    )
+                )
+    for n in (1, 2, 3, 7, 60, 257):
+        out[f"binary-{n}"] = lambda n=n: binary_decomposition(
+            np.random.default_rng(n).uniform(0, 1, n)
+        )
+    chains = {
+        "dyadic": ([tuple(2.0**-k for k in range(11))], 0.5, (0.0, 2.0)),
+        "two-stage": ([[0.03125, 1], [0.03125, 0.0625, 0.125, 0.25, 0.5, 1]], 0.5, None),
+        "wide-gap": ([[0.0, 1.0], [0.0, 0.7, 1.0]], 0.8, None),
+    }
+    for name, args in chains.items():
+        out[f"complete-{name}"] = lambda args=args: complete_decomposition(
+            build_decomposition(*args)
+        )
+    for mu in (1, 3, 5):
+        out[f"staged-mu{mu}"] = lambda mu=mu: staged_lacunary_directions(mu, depth=2)
+    return out
+
+
+# Decompositions on which the array code is checked against the loops it
+# replaced: random complete, binary, completed and staged constructions.
+REFERENCE_CORPUS = _corpus_builders()
+
+
+def interval_hex(intervals):
+    """Rank intervals as exact text, from RankInterval objects."""
+    return [
+        (j.lo.hex(), j.hi.hex(), j.rank, None if j.pole is None else float(j.pole).hex())
+        for j in intervals
+    ]
+
+
+def array_hex(d):
+    """A decomposition's interval arrays as exact text, in stored order."""
+    cols = (d.lo.tolist(), d.hi.tolist(), d.rank.tolist(), d.pole.tolist())
+    return [
+        (a.hex(), b.hex(), k, None if math.isnan(p) else p.hex()) for a, b, k, p in zip(*cols)
+    ]
+
+
+class TestRankArrays:
+    @pytest.mark.parametrize("name", REFERENCE_CORPUS)
+    def test_matches_loop_reference(self, name):
+        d = REFERENCE_CORPUS[name]()
+        got = array_hex(d)
+        assert got == interval_hex(_assign_poles_loop(d.chain, d.domain, d.groups))
+        assert d.rank.dtype == np.int64
+        assert not any(a.flags.writeable for a in (d.lo, d.hi, d.rank, d.pole))
+        # the edge objects carry the same numbers
+        assert interval_hex(d.rank_intervals) == got
+        # JSON floats round-trip exactly, so equal text means equal arrays
+        text = json.dumps(d.to_json())
+        assert json.dumps(LacunaryDecomposition.from_json(json.loads(text)).to_json()) == text
+
+    def test_intervals_of_rank(self):
+        d = REFERENCE_CORPUS["random-mu3-depth1-fill1.0"]()
+        for k in range(1, 4):
+            assert d.intervals_of_rank(k) == tuple(j for j in d.rank_intervals if j.rank == k)
+        assert d.intervals_of_rank(4) == ()
+
+    def test_from_json_validates_every_interval(self):
+        data = REFERENCE_CORPUS["random-mu2-depth1-fill1.0"]().to_json()
+        for bad in ({"lo": 0.5, "hi": 0.5}, {"rank": 0}, {"rank": 1.5}, {"pole": 2.0}):
+            broken = json.loads(json.dumps(data))
+            broken["rank_intervals"][1].update(bad)
+            with pytest.raises((InvalidArgument, ValidationFailure)):
+                LacunaryDecomposition.from_json(broken)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("poles", ["a"]), ("poles", [float("nan")]), ("domain", ["x", 1.0]),
+         ("domain", [0.0]), ("domain", [1.0, 0.0]), ("domain", [0.0, float("inf")])],
+    )
+    def test_from_json_rejects_malformed_poles_and_domain(self, key, value):
+        data = REFERENCE_CORPUS["random-mu2-depth1-fill1.0"]().to_json()
+        data[key] = value
+        with pytest.raises(InvalidArgument):
+            LacunaryDecomposition.from_json(data)
+
+    def test_from_json_converts_poles_and_domain_to_floats(self):
+        data = REFERENCE_CORPUS["random-mu2-depth1-fill1.0"]().to_json()
+        data["poles"] = ["0.5"]
+        data["domain"] = [0, 1]
+        d = LacunaryDecomposition.from_json(data)
+        assert d.poles == (0.5,) and d.domain == (0.0, 1.0)
+        assert all(type(v) is float for v in d.poles + d.domain)
+        # without the key, the poles are the distinct interval tags
+        del data["poles"]
+        tags = {j.pole for j in d.rank_intervals if j.pole is not None}
+        assert LacunaryDecomposition.from_json(data).poles == tuple(sorted(tags))
 
 
 class TestPerpendicular:

@@ -30,9 +30,11 @@ from dirmax.sectors import (
     strip_multiplier_energy,
     support_containment_check,
     validate_pole_gap_chain,
+    _region_mask,
     _strip_arrays,
     _sweep_max,
 )
+from test_lacunary import REFERENCE_CORPUS
 
 
 def random_field(seed: int, n: int = 64, spacing: float = 1 / 8) -> Grid2D:
@@ -72,6 +74,16 @@ class TestStrip:
         with pytest.raises(InvalidArgument):
             Strip(0.0, 1.0, 1.5)
 
+    def test_point_and_mask_share_the_edges(self):
+        # x1 = min_x1 is outside (strict), |x2 - c x1| = half_width inside (closed)
+        s = Strip(0.0, 0.5, 0.25)
+        pts = [(2.0, 0.5), (4.0, 6.0), (4.0, -4.0), (4.0, 6.5), (2.0 * (1 + 1e-15), 0.5)]
+        x1 = np.array([p[0] for p in pts])
+        x2 = np.array([p[1] for p in pts])
+        want = [False, True, True, False, True]
+        assert [strip_contains(s, p) for p in pts] == want
+        assert _region_mask(s, x1, x2).tolist() == want
+
 
 class TestOverlap:
     def test_order_one_no_pole_strips(self):
@@ -101,6 +113,15 @@ class TestOverlap:
             c = overlap_count(d, (x1, sigma * x1 + rng.uniform(-6, 6)))
             best = (max(best[0], c[0]), max(best[1], c[1]))
         assert best[0] <= nl and best[1] <= nt
+        # a dense log-lattice for mu <= 4: x1 log-spaced up to 1e3, where the
+        # x2 step (sigma step times x1) stays under the slab half-width
+        for mu in range(1, 5):
+            d = random_complete_decomposition(rng, mu)
+            nl, nt = max_overlap(d)
+            for x1 in np.logspace(-0.5, 3.0, 36):
+                for sigma in np.linspace(-0.1, 1.1, 241):
+                    c = overlap_count(d, (x1, sigma * x1))
+                    assert c[0] <= nl and c[1] <= nt
 
     def test_binary_decomposition_reported(self):
         # bisection decompositions are not complete; the pole-strip bound
@@ -199,6 +220,69 @@ class TestSweepMax:
             tau_l, cen_l, tau_t, cen_t = _strip_arrays(d, True)
             for tau, cen in ((tau_l, cen_l), (tau_t, cen_t)):
                 assert _sweep_max(tau, cen) == _numpy_sweep_max(tau, cen)
+
+
+def _strip_arrays_loop(decomp, require_poles):
+    """The per-interval loop that the masks replaced: the slow reference."""
+    mu = decomp.order
+    poles = np.asarray(sorted(decomp.poles))
+    tau_low, centers = [], []
+    top_tau, top_centers = [], []
+    for j in decomp.rank_intervals:
+        if j.rank <= mu - 1:
+            if j.pole is None:
+                if require_poles:
+                    raise InvalidArgument(
+                        f"rank-{j.rank} interval ({j.lo}, {j.hi}) has no pole; "
+                        "overlap needs a complete decomposition "
+                        "(or pass require_poles=False to skip such intervals)"
+                    )
+                continue
+            tau_low.append(1.0 / j.width)
+            centers.append(j.pole)
+        if j.rank == mu:
+            if len(poles):
+                k = int(np.searchsorted(poles, j.lo, side="right"))
+                if k < len(poles) and poles[k] < j.hi:
+                    continue
+            top_tau.extend((1.0 / j.width, 1.0 / j.width))
+            top_centers.extend((j.lo, j.hi))
+    return tuple(np.asarray(a) for a in (tau_low, centers, top_tau, top_centers))
+
+
+class TestStripArrays:
+    @pytest.mark.parametrize("name", REFERENCE_CORPUS)
+    def test_matches_loop_reference(self, name):
+        d = REFERENCE_CORPUS[name]()
+        require = True
+        try:
+            ref = _strip_arrays_loop(d, require)
+        except InvalidArgument as exc:
+            with pytest.raises(InvalidArgument) as err:
+                _strip_arrays(d, require)
+            assert str(err.value) == str(exc)
+            # skipping poleless intervals matters only where the default raises
+            require = False
+            ref = _strip_arrays_loop(d, require)
+        got = _strip_arrays(d, require)
+        assert [a.dtype for a in got] == [a.dtype for a in ref]
+        assert [[v.hex() for v in a.tolist()] for a in got] == [
+            [v.hex() for v in a.tolist()] for a in ref
+        ]
+
+    def test_building_and_sweeping_construct_no_rank_interval(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a RankInterval was constructed")
+
+        monkeypatch.setattr(RankInterval, "__post_init__", refuse)
+        d = random_complete_decomposition(np.random.default_rng(0), 6, 2)
+        max_overlap_with_argmax(d)
+        overlap_count(d, (100.0, 50.0))
+        strip_multiplier_energy(d, random_field(0, n=16))
+        d.to_json()
+        max_overlap(binary_decomposition(np.linspace(0, 1, 50)), require_poles=False)
+        with pytest.raises(AssertionError):
+            d.rank_intervals  # the edge still builds (and validates) objects
 
 
 class TestSectorMultiplier:
