@@ -168,13 +168,10 @@ def staged_lacunary_directions(
     strict lacunarity inequality excludes the nominal gap 1/2 itself), every
     interval filled.
     """
+    scale = np.full((1, 2, depth + 1), 7.0 / 16.0)
+    scale[:, :, 0] = 0.75
     return staged_complete_decomposition(
-        mu,
-        depth,
-        pole=lambda lo, hi: 0.5 * (lo + hi),
-        first=lambda cap: 0.75 * cap,
-        ratio=lambda: 7.0 / 16.0,
-        domain=domain,
+        mu, depth, lambda stage, lo, hi: (None, 0.5 * (lo + hi), scale), domain
     )
 
 

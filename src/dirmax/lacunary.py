@@ -27,7 +27,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from itertools import repeat
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -293,9 +294,11 @@ class RankInterval:
         return self.hi - self.lo
 
 
-@dataclass(frozen=True)
-class _StageGroup:
-    """One lacunary sequence inserted at a given stage (stage 1 = the seed set)."""
+class _StageGroup(NamedTuple):
+    """One lacunary sequence inserted at a given stage (stage 1 = the seed set).
+
+    A named tuple rather than a dataclass: random builds make tens of thousands.
+    """
 
     stage: int
     pole: float
@@ -309,7 +312,8 @@ class LacunaryDecomposition:
     The rank intervals are four read-only arrays in rank, then left-to-right
     order: ``lo``, ``hi``, ``rank`` (int64) and ``pole`` (NaN if untagged).
     ``RankInterval`` objects exist only at the edges: ``rank_intervals`` and
-    ``intervals_of_rank`` build them, ``from_json`` validates through them.
+    ``intervals_of_rank`` build them, ``from_json`` validates each interval
+    through them and then checks the arrays against the chain.
 
     ``poles`` lists every pole used in the construction (one or two per
     inserted group), whether or not it ended up tagging a rank interval.
@@ -380,6 +384,7 @@ class LacunaryDecomposition:
         except (AttributeError, IndexError, TypeError, ValueError) as exc:
             raise InvalidArgument(f"malformed decomposition JSON: {exc}") from None
         rank = rank.astype(np.int64)
+        _check_rank_arrays(chain, domain, lo, hi, rank, pole)
         return LacunaryDecomposition(chain, gap, lo, hi, rank, pole, domain, poles)
 
     def save(self, path) -> None:
@@ -452,26 +457,67 @@ def adjacent_intervals(
     Ordered left to right; the two boundary gaps against the domain endpoints
     are included (when nonempty).  An empty set yields the whole domain.
     """
+    domain = _check_domain(domain)
+    pts = sorted(set(_as_floats(points)))
+    _check_inside(pts, domain)
+    lo, hi = _gaps(pts, domain)
+    return list(zip(lo.tolist(), hi.tolist()))
+
+
+def _check_domain(domain: Sequence[float]) -> tuple[float, float]:
     a, b = float(domain[0]), float(domain[1])
     if not a < b:
         raise InvalidArgument(f"empty domain ({a}, {b})")
-    pts = sorted(set(_as_floats(points)))
-    if pts and (pts[0] < a or pts[-1] > b):
+    return a, b
+
+
+def _check_inside(points: Sequence[float], domain: tuple[float, float]) -> None:
+    """InvalidArgument unless every point is finite and inside the closed domain."""
+    pts = np.asarray(points, dtype=float)
+    if not np.isfinite(pts).all():
+        raise InvalidArgument("points must be finite")
+    if pts.size and (pts.min() < domain[0] or pts.max() > domain[1]):
         raise InvalidArgument("set must be contained in the domain")
-    out = []
-    prev = a
-    for p in pts:
-        if p > prev:
-            out.append((prev, p))
-        prev = p
-    if b > prev:
-        out.append((prev, b))
-    return out
+
+
+def _gaps(points: Sequence[float], domain: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
+    """``adjacent_intervals`` as (lo, hi) arrays, for a sorted set inside the domain."""
+    edges = np.concatenate(([domain[0]], np.asarray(points, dtype=float), [domain[1]]))
+    lo, hi = edges[:-1], edges[1:]
+    nonempty = lo < hi
+    return lo[nonempty], hi[nonempty]
 
 
 # ---------------------------------------------------------------------------
 # decomposition assembly (shared by the builders)
 # ---------------------------------------------------------------------------
+
+
+def _check_rank_arrays(chain, domain, lo, hi, rank, pole) -> None:
+    """InvalidArgument unless the arrays are the rank intervals of the chain.
+
+    Ranks run 1..mu in order, rank k holds exactly the nonempty gaps of
+    chain set k in the domain, left to right, and no top-rank interval
+    carries a pole tag.
+    """
+    if not chain:
+        raise InvalidArgument("a decomposition needs at least one chain set")
+    sets = [np.asarray(s, dtype=float) for s in chain]
+    _check_inside(np.concatenate(sets), domain)
+    gaps = [_gaps(s, domain) for s in sets]
+    want_rank = np.repeat(np.arange(1, len(chain) + 1), [len(g[0]) for g in gaps])
+    if not np.array_equal(rank, want_rank):
+        raise InvalidArgument(
+            f"rank intervals must run through ranks 1..{len(chain)} in order, "
+            "one per gap of each chain set"
+        )
+    want_lo, want_hi = (np.concatenate(c) for c in zip(*gaps))
+    bad = (lo != want_lo) | (hi != want_hi)
+    if bad.any():
+        k = rank[bad.argmax()]
+        raise InvalidArgument(f"the rank-{k} intervals are not the gaps of chain set {k}")
+    if not np.isnan(pole[rank == len(chain)]).all():
+        raise InvalidArgument("a top-rank interval carries a pole tag")
 
 
 def _order_by_distance(points: Sequence[float], pole: float) -> tuple[float, ...]:
@@ -481,18 +527,20 @@ def _order_by_distance(points: Sequence[float], pole: float) -> tuple[float, ...
 def _rank_arrays(
     chain: Sequence[tuple[float, ...]],
     domain: tuple[float, float],
-    groups: Sequence[_StageGroup],
+    stage: np.ndarray,
+    cand: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(lo, hi, rank, pole) of all rank intervals; ranks <= mu-1 get their first pole.
 
-    "First" means smallest (stage, pole value) strictly inside: poles from
-    earlier stages win, ties within a stage resolve left to right.
+    ``cand`` holds the candidate poles, ``stage`` the stage of each.  "First"
+    means smallest (stage, pole value) strictly inside: poles from earlier
+    stages win, ties within a stage resolve left to right.
     """
     mu = len(chain)
-    cand = np.array(sorted((g.stage, g.pole) for g in groups)).reshape(-1, 2)[:, 1]
+    cand = cand[np.lexsort((cand, stage))]
     cols = []
     for k in range(1, mu + 1):
-        lo, hi = np.array(adjacent_intervals(chain[k - 1], domain)).T
+        lo, hi = _gaps(chain[k - 1], domain)
         pole = np.full(len(lo), math.nan)
         if k <= mu - 1:
             i = np.searchsorted(lo, cand, side="right") - 1
@@ -504,16 +552,21 @@ def _rank_arrays(
 
 
 def _assemble(
-    chain: Sequence[Sequence[float]],
+    chain: Sequence[tuple[float, ...]],
     gap: float,
     domain: tuple[float, float],
     groups: Sequence[_StageGroup],
 ) -> LacunaryDecomposition:
-    """Decomposition of a nested chain whose stage groups are already lacunary."""
-    chain_t = tuple(tuple(sorted(set(_as_floats(s)))) for s in chain)
-    arrays = _rank_arrays(chain_t, domain, groups)
-    poles = tuple(sorted({g.pole for g in groups}))
-    return LacunaryDecomposition(chain_t, gap, *arrays, domain, poles, tuple(groups))
+    """Decomposition of a nested chain whose stage groups are already lacunary.
+
+    Every builder holds its chain as sorted, unique tuples of finite floats
+    inside the domain and checks its input for that; nothing is re-checked here.
+    """
+    stage = np.array([g.stage for g in groups], dtype=np.int64)
+    pole = np.array([g.pole for g in groups], dtype=float)
+    arrays = _rank_arrays(chain, domain, stage, pole)
+    poles = tuple(sorted(set(pole.tolist())))
+    return LacunaryDecomposition(tuple(chain), gap, *arrays, domain, poles, tuple(groups))
 
 
 def _split_groups_for_stage(
@@ -611,6 +664,8 @@ def build_decomposition(
         if lo == hi:
             lo, hi = lo - 0.5, hi + 0.5
         domain = (lo, hi)
+    domain = _check_domain(domain)
+    _check_inside(sets[-1], domain)  # the chain is nested: the final set holds all
 
     groups: list[_StageGroup] = []
     seed = sets[0]
@@ -645,9 +700,9 @@ def binary_decomposition(
     if len(pts) == 1:
         dom = (pts[0] - 0.5, pts[0] + 0.5)
         g = _StageGroup(1, pts[0], (pts[0],))
-        return _assemble([pts], gap, dom, [g])
+        return _assemble([tuple(pts)], gap, dom, [g])
     domain = (pts[0], pts[-1])
-    chain = [(pts[0], pts[-1])]
+    joined = np.ones(len(pts), dtype=np.int64)  # the stage each point joins at
     groups = [
         _StageGroup(1, pts[-1], (pts[0],)),  # two extremes: pole at the far end
     ]
@@ -657,18 +712,18 @@ def binary_decomposition(
     stage = 1
     while pending:
         stage += 1
-        added = []
         nxt = []
         for i, j in pending:
             mid = (i + j) // 2  # lower median
-            added.append(pts[mid])
+            joined[mid] = stage
             groups.append(_StageGroup(stage, pts[mid], (pts[mid],)))
             if mid - 1 >= i:
                 nxt.append((i, mid - 1))
             if j >= mid + 1:
                 nxt.append((mid + 1, j))
-        chain.append(tuple(sorted(set(chain[-1]) | set(added))))
         pending = nxt
+    arr = np.array(pts)
+    chain = [tuple(arr[joined <= k].tolist()) for k in range(1, stage + 1)]
     return _assemble(chain, gap, domain, groups)
 
 
@@ -859,45 +914,81 @@ def complete_decomposition(decomp: LacunaryDecomposition) -> LacunaryDecompositi
 def staged_complete_decomposition(
     mu: int,
     depth: int,
-    pole: Callable[[float, float], float],
-    first: Callable[[float], float],
-    ratio: Callable[[], float],
-    fill: Optional[Callable[[], bool]] = None,
+    profile: Callable[[int, np.ndarray, np.ndarray], tuple],
     domain: tuple[float, float] = (0.0, 1.0),
 ) -> LacunaryDecomposition:
-    """Grow a complete mu-lacunary decomposition from a per-gap profile.
+    """Grow a complete mu-lacunary decomposition from an array profile.
 
-    Each stage visits the adjacent intervals of the current set left to right
-    (stage 1: the domain) and, unless ``fill()`` is false after stage 1, puts
-    ``depth`` points on each side of ``pole(lo, hi)``, upper side first: the
-    distances start at ``first(cap)`` (cap: pole to interval end) and are
-    multiplied by ``ratio()`` after every point.  The callables run in that
-    order, so a random profile is reproducible from its generator.  A
-    complete profile keeps first(cap) in [cap/2, cap) and ratios in [1/4, 1/2).
+    Stage k passes the adjacent intervals of the current set (stage 1: the
+    domain), left to right, as arrays ``lo`` and ``hi`` to ``profile(k, lo,
+    hi)``, which returns ``(keep, pole, scale)``: the indices of the intervals
+    to fill (None: all), one pole per filled interval, and ``scale``, which
+    broadcasts to shape (filled, 2, depth + 1).  Side 0 is the upper side
+    (points p + d), side 1 the lower one (p - d).  Along a side, d starts at
+    cap * scale[..., 0] (cap: pole to interval end) and is multiplied by
+    scale[..., j] after point j; the last ratio is not used.  The stage's
+    points join the set in one sort-unique step.  A complete profile keeps
+    first fractions in [1/2, 1) and ratios in [1/4, 1/2).
+
+    Draw order: ``random_complete_decomposition`` draws each stage with one
+    generator call, in the order of a per-interval loop: for each interval
+    left to right, the fill flag (after stage 1, when filling is random),
+    the pole, then the upper side's first distance and ``depth`` ratios,
+    then the lower side's.
     """
     if mu < 1:
         raise InvalidArgument("mu must be >= 1")
-    current: list[float] = []
+    domain = _check_domain(domain)
+    sign = np.array([1.0, -1.0])
+    current = np.empty(0)
     chain: list[tuple[float, ...]] = []
     groups: list[_StageGroup] = []
     for stage in range(1, mu + 1):
-        gaps = adjacent_intervals(current, domain) if current else [tuple(domain)]
-        new_pts: list[float] = []
-        for lo, hi in gaps:
-            if stage > 1 and fill is not None and not fill():
-                continue
-            p = pole(lo, hi)
-            for sign, cap in ((1.0, hi - p), (-1.0, p - lo)):
-                d = first(cap)
-                pts = []
-                for _ in range(depth):
-                    pts.append(p + sign * d)
-                    d *= ratio()
-                groups.append(_StageGroup(stage, p, tuple(pts)))
-                new_pts.extend(pts)
-        current = sorted(set(current) | set(new_pts))
-        chain.append(tuple(current))
+        lo, hi = _gaps(current, domain)
+        keep, pole, scale = profile(stage, lo, hi)
+        if keep is not None:
+            lo, hi = lo[keep], hi[keep]
+        d = np.stack((hi - pole, pole - lo), axis=1) * scale[:, :, 0]
+        pts = np.empty((len(pole), 2, depth))
+        for j in range(depth):
+            pts[:, :, j] = pole[:, None] + sign * d
+            d = d * scale[:, :, j + 1]
+        _check_inside(pts, domain)
+        current = np.unique(np.concatenate((current, pts.ravel())))
+        chain.append(tuple(current.tolist()))
+        rows = map(tuple, pts.reshape(2 * len(pole), depth).tolist())
+        poles = np.repeat(pole, 2).tolist()  # upper, then lower group per interval
+        groups.extend(map(_StageGroup._make, zip(repeat(stage), poles, rows)))
     return _assemble(chain, 0.5, domain, groups)
+
+
+def _filled_draw(
+    rng: np.random.Generator, n: int, low: np.ndarray, high: np.ndarray, fill: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """One stage's values when each of n intervals is filled with probability fill.
+
+    Per interval the stream holds a flag u (filled iff u <= fill) and, if
+    filled, one uniform value per slot of ``low``/``high``.  Which values are
+    flags depends on the flags before them, so the stream is first read as
+    raw doubles (enough for n filled intervals) to walk the flags; then the
+    generator is rewound and draws exactly the values used.  Returns the
+    filled intervals' indices and their values, one row each.
+    """
+    width = len(low)
+    state = rng.bit_generator.state
+    raw = rng.random(n * (width + 1)).tolist()
+    keep, starts, pos = [], [], 0
+    for i in range(n):
+        if raw[pos] <= fill:
+            keep.append(i)
+            starts.append(pos + 1)
+            pos += width
+        pos += 1
+    rng.bit_generator.state = state
+    slots = np.array(starts, dtype=np.intp)[:, None] + np.arange(width)
+    lows, highs = np.zeros(pos), np.ones(pos)  # flags: uniform on [0, 1)
+    lows[slots], highs[slots] = low, high
+    return np.array(keep, dtype=np.intp), rng.uniform(lows, highs)[slots]
 
 
 def random_complete_decomposition(
@@ -912,12 +1003,17 @@ def random_complete_decomposition(
     uniform fraction in [0.55, 0.95] of the cap, ratios uniform in [0.26, 0.49],
     and after stage 1 each interval filled with probability ``fill_probability``.
     """
-    return staged_complete_decomposition(
-        mu,
-        depth,
-        pole=lambda lo, hi: lo + (hi - lo) * rng.uniform(0.3, 0.7),
-        first=lambda cap: cap * rng.uniform(0.55, 0.95),
-        ratio=lambda: rng.uniform(0.26, 0.49),
-        fill=(lambda: rng.random() <= fill_probability) if fill_probability < 1.0 else None,
-        domain=domain,
-    )
+    side = [(0.55, 0.95)] + [(0.26, 0.49)] * depth
+    low, high = np.array([(0.3, 0.7)] + side + side).T  # one interval's slots
+
+    def profile(stage, lo, hi):
+        if stage > 1 and fill_probability < 1.0:
+            keep, vals = _filled_draw(rng, len(lo), low, high, fill_probability)
+            lo, hi = lo[keep], hi[keep]
+        else:
+            keep, n = None, len(lo)
+            vals = rng.uniform(np.tile(low, n), np.tile(high, n)).reshape(n, len(low))
+        pole = lo + (hi - lo) * vals[:, 0]
+        return keep, pole, vals[:, 1:].reshape(len(pole), 2, depth + 1)
+
+    return staged_complete_decomposition(mu, depth, profile, domain)

@@ -111,6 +111,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("dirmax: ") and err.count("\n") == 1
 
+    def test_forged_rank_intervals_are_validation_failure(self, tmp_path, capsys):
+        data = random_complete_decomposition(np.random.default_rng(0), 4).to_json()
+        data["rank_intervals"] = data["rank_intervals"][:5] * 31
+        src, out = tmp_path / "d.json", tmp_path / "o.json"
+        src.write_text(json.dumps(data))
+        assert run(["overlap", "--decomp", str(src), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("dirmax: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_chain_outside_domain_is_validation_failure(self, tmp_path, capsys):
+        src, out = tmp_path / "chain.json", tmp_path / "d.json"
+        src.write_text(json.dumps([[0.1, 0.9]]))
+        assert run(["decompose", "--mode", "chain", "--input", str(src),
+                    "--domain", "0.2,0.3", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "dirmax: set must be contained in the domain\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "argv",
         [

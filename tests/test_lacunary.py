@@ -189,6 +189,19 @@ class TestBuildDecomposition:
         with pytest.raises(ValidationFailure):
             build_decomposition([[0, 1], [0, 0.2, 0.4, 0.6, 0.8, 1]], 0.25)
 
+    def test_set_outside_domain_rejected(self):
+        with pytest.raises(InvalidArgument, match="set must be contained in the domain"):
+            build_decomposition([[0.1, 0.9]], 0.5, domain=(0.2, 0.3))
+
+    @pytest.mark.parametrize(
+        "chain, domain",
+        [([[0.1, math.nan]], None), ([[0.1, math.inf]], (0.0, 1.0)), ([[0.5]], (1.0, 0.0))],
+        ids=["nan", "inf", "reversed-domain"],
+    )
+    def test_non_finite_points_and_empty_domain_rejected(self, chain, domain):
+        with pytest.raises(InvalidArgument):
+            build_decomposition(chain, 0.5, domain=domain)
+
     def test_roundtrip_json(self, tmp_path):
         d = build_decomposition([[0, 1], [0, 0.5, 1]], 0.5)
         p = tmp_path / "d.json"
@@ -390,6 +403,50 @@ class TestRandomCompleteReference:
         assert rng_a.random() == rng_b.random()
 
 
+BIT_GENERATORS = [np.random.PCG64, np.random.Philox, np.random.MT19937, np.random.SFC64]
+
+small_profiles = dict(
+    seed=st.integers(0, 2**32 - 1),
+    mu=st.integers(1, 4),
+    depth=st.integers(1, 2),
+    fill=st.floats(0.0, 1.0, exclude_min=True),
+)
+
+
+class TestRandomCompleteProperties:
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda b: b.__name__)
+    @settings(max_examples=30, deadline=None)
+    @given(**small_profiles)
+    def test_matches_stage_loop_on_every_bit_generator(
+        self, bit_generator, seed, mu, depth, fill
+    ):
+        rng_a = np.random.Generator(bit_generator(seed))
+        rng_b = np.random.Generator(bit_generator(seed))
+        got = random_complete_decomposition(rng_a, mu, depth, fill_probability=fill)
+        ref = _random_stage_loop(rng_b, mu, depth, fill_probability=fill)
+        assert decomposition_bits(got) == decomposition_bits(ref)
+        # the generator is left where the stage loop left it
+        assert rng_a.random() == rng_b.random()
+
+    @settings(max_examples=60, deadline=None)
+    @given(**small_profiles)
+    def test_random_json_round_trip(self, seed, mu, depth, fill):
+        d = random_complete_decomposition(
+            np.random.default_rng(seed), mu, depth, fill_probability=fill
+        )
+        text = json.dumps(d.to_json(), sort_keys=True)
+        back = LacunaryDecomposition.from_json(json.loads(text))
+        assert json.dumps(back.to_json(), sort_keys=True) == text
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=300))
+    def test_binary_json_round_trip(self, points):
+        d = binary_decomposition(points)
+        text = json.dumps(d.to_json(), sort_keys=True)
+        back = LacunaryDecomposition.from_json(json.loads(text))
+        assert json.dumps(back.to_json(), sort_keys=True) == text
+
+
 def _assign_poles_loop(chain, domain, groups):
     """The per-gap loop that the array tagging replaced: the slow reference."""
     mu = len(chain)
@@ -495,6 +552,47 @@ class TestRankArrays:
             broken["rank_intervals"][1].update(bad)
             with pytest.raises((InvalidArgument, ValidationFailure)):
                 LacunaryDecomposition.from_json(broken)
+
+    def test_from_json_rejects_forged_rank_intervals(self):
+        data = random_complete_decomposition(np.random.default_rng(0), 4).to_json()
+        data["rank_intervals"] = data["rank_intervals"][:5] * 31
+        with pytest.raises(InvalidArgument, match="ranks 1..4 in order"):
+            LacunaryDecomposition.from_json(data)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ("reverse", "ranks 1..3 in order"),
+            ("drop-last", "ranks 1..3 in order"),
+            ("swap-rank-2", "rank-2 intervals"),
+            ("shrink-top", "rank-3 intervals"),
+            ("tag-top", "top-rank"),
+        ],
+    )
+    def test_from_json_checks_intervals_against_chain(self, edit, message):
+        data = REFERENCE_CORPUS["random-mu3-depth1-fill1.0"]().to_json()
+        rows = data["rank_intervals"]
+        assert [r["rank"] for r in rows[2:5]] == [1, 2, 2]
+        top = rows[-1]
+        mid = 0.5 * (top["lo"] + top["hi"])
+        if edit == "reverse":
+            rows.reverse()
+        elif edit == "drop-last":
+            rows.pop()
+        elif edit == "swap-rank-2":
+            rows[3], rows[4] = rows[4], rows[3]
+        elif edit == "shrink-top":
+            top["lo"] = mid
+        else:
+            top["pole"] = mid
+        with pytest.raises(InvalidArgument, match=message):
+            LacunaryDecomposition.from_json(data)
+
+    def test_from_json_rejects_chain_outside_domain(self):
+        data = REFERENCE_CORPUS["random-mu2-depth1-fill1.0"]().to_json()
+        data["chain"][0].append(1.5)
+        with pytest.raises(InvalidArgument, match="contained in the domain"):
+            LacunaryDecomposition.from_json(data)
 
     @pytest.mark.parametrize(
         "key, value",
