@@ -7,13 +7,17 @@ and half-length delta, the basic building block is the centered line average
 
 realized by a composite trapezoid rule with bilinear interpolation off the
 lattice and zero extension outside the grid.  The three maximal operators are
-discrete suprema over one shared family of such averages:
+discrete suprema over one shared family of such averages, each a set of
+(half-length delta, half-width w) candidates reduced by one engine:
 
-    m0: fixed delta = 1;
-    m1: sup over dyadic delta in cfg.radii;
-    m2: sup over rectangles, realized as line averages of perpendicular
-        column-average fields (length delta from cfg.radii, width
-        delta / 2**j for j = 0..aspect_levels plus the degenerate width 0).
+    m0: the single candidate (1, 0);
+    m1: (delta, 0) for dyadic delta in cfg.radii, plus |f| itself;
+    m2: rectangles (delta, w) for delta in cfg.radii and w = delta / 2**j,
+        j = 0..aspect_levels, or the degenerate w = 0, plus |f| itself.
+
+A candidate (delta, w) is the line average along e_s of the perpendicular
+column average of half-width w (w = 0: of |f|).  Per direction the engine
+builds each ladder once and max-reduces every candidate into one field.
 
 Every m2 rectangle value is a line average (along e_s) of a column field that
 is itself one of the m1 candidates for the perpendicular set, so the pointwise
@@ -41,6 +45,7 @@ results are reproducible bit for bit.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import os
@@ -329,11 +334,9 @@ def _avg_field_ladder(
     the two-point dyadic cascade.  The node count doubles with the radius, so
     the quadrature density is scale independent.
     """
-    n0 = _base_segments(radii[0], spu)
-    prev = None
     for k, delta in enumerate(radii):
-        n_seg = n0 * 2**k
-        if prev is None or n_seg + 1 <= direct_cap:
+        n_seg = _base_segments(radii[0], spu) * 2**k
+        if k == 0 or n_seg + 1 <= direct_cap:
             fld = _trapezoid_field(src, e, delta, n_seg, spacing)
         else:
             half = delta / 2.0
@@ -391,117 +394,95 @@ def directional_avg(
     return float(np.dot(w, vals))
 
 
-def _require_directions(omega: DirectionSet) -> tuple[float, ...]:
+def _column_ladder_radii(cfg: OperatorConfig) -> tuple[float, ...]:
+    """Dyadic ladder of all rectangle half-widths, smallest positive first."""
+    w_min = cfg.radii[0] / 2.0**cfg.aspect_levels
+    return tuple(w_min * 2.0**k for k in range(cfg.aspect_levels + len(cfg.radii)))
+
+
+def _sup(
+    f: Grid2D, omega: DirectionSet, cfg: OperatorConfig, pairs: frozenset,
+    point: bool = True, offset_steps: int = 0,
+) -> Grid2D:
+    """Max-reduce the (half-length, half-width) ``pairs`` over every direction.
+
+    ``point`` adds |f| itself, ``offset_steps`` the off-center rectangles.
+    Every ladder starts at its first level (the direct/cascade choice and
+    the node count depend on the level index) and stops at its last in use.
+    """
     if len(omega) == 0:
         raise InvalidArgument("direction set must be nonempty")
-    return omega.values
+    src = np.abs(f.values, order="C")  # the shift-add kernel needs C order
+    out = src.copy() if point else np.zeros_like(src)
+    longest = {w: max(d for d, v in pairs if v == w) for _, w in pairs}
+    col_radii = _column_ladder_radii(cfg) if max(longest) > 0.0 else ()
+    spu, cap, h = cfg.samples_per_unit, cfg.direct_nodes_cap, f.spacing
+
+    def shifts(half: float) -> list[float]:
+        # quarter-step offsets of the full side (length 2 * half)
+        n = offset_steps if half else 0
+        return [k * half / 2.0 for k in range(-n, n + 1)]
+
+    for s in omega.values:
+        e = direction_vector(s)
+        ep = direction_vector((s + 0.25) % 1.0)
+        columns = {0.0: src}
+        columns.update(_avg_field_ladder(src, ep, col_radii, h, spu, cap))
+        for w, top in longest.items():
+            ladder = tuple(r for r in cfg.radii if r <= top)
+            for delta, fld in _avg_field_ladder(columns[w], e, ladder, h, spu, cap):
+                if (delta, w) not in pairs:
+                    continue
+                for o1, o2 in itertools.product(shifts(delta), shifts(w)):
+                    cand = fld
+                    if o1 or o2:
+                        cand = np.zeros_like(src)
+                        cx = (o1 * e[0] + o2 * ep[0]) / h
+                        cy = (o1 * e[1] + o2 * ep[1]) / h
+                        _bilinear_shift_add(cand, fld, cx, cy, 1.0)
+                    np.maximum(out, cand, out=out)
+    return f.with_values(out)
 
 
 def m0(f: Grid2D, omega: DirectionSet, cfg: Optional[OperatorConfig] = None) -> Grid2D:
     """Unit-half-length directional average field, maximized over directions.
 
-    The field is the delta = 1 level of the config's ladder cut at 1 (so m0 <=
-    m1 sample by sample), or of the ladder (1.0,) when 1.0 is not a radius;
-    without a config the density is one node per grid step.
+    The candidate (1, 0): the delta = 1 level of the config's ladder cut at 1
+    (so m0 <= m1 sample by sample), or of the ladder (1.0,) when 1.0 is not a
+    radius; without a config the density is one node per grid step.
     """
-    dirs = _require_directions(omega)
     if f.spacing > 0.125:
         raise InvalidArgument("grid spacing must be <= 1/8 to resolve unit averages")
     if cfg is None:
         cfg = OperatorConfig((1.0,), samples_per_unit=max(1, round(1.0 / f.spacing)))
-    ladder = tuple(r for r in cfg.radii if r <= 1.0) if 1.0 in cfg.radii else (1.0,)
-    src = np.abs(f.values, order="C")  # the shift-add kernel needs C order
-    out = np.zeros_like(src)
-    for s in dirs:
-        for delta, fld in _avg_field_ladder(
-            src, direction_vector(s), ladder, f.spacing, cfg.samples_per_unit,
-            cfg.direct_nodes_cap,
-        ):
-            if delta == 1.0:
-                np.maximum(out, fld, out=out)
-    return f.with_values(out)
+    elif 1.0 not in cfg.radii:
+        cfg = replace(cfg, radii=(1.0,))
+    return _sup(f, omega, cfg, frozenset({(1.0, 0.0)}), point=False)
 
 
 def m1(f: Grid2D, omega: DirectionSet, cfg: OperatorConfig) -> Grid2D:
     """Directional maximal field: sup over directions and dyadic radii.
 
-    The degenerate zero-radius candidate (the sample itself) is always
-    included: the continuum supremum runs over arbitrarily small half-lengths,
-    which at grid resolution collapse to the point value.  The dyadic ladder
-    then tracks the true supremum within a factor 2 (averages at comparable
-    radii are 2-comparable).
+    The candidates (delta, 0), delta in cfg.radii, and the degenerate
+    zero-radius one (the sample itself): the continuum supremum runs over
+    arbitrarily small half-lengths, which at grid resolution collapse to the
+    point value.  The dyadic ladder then tracks the true supremum within a
+    factor 2 (averages at comparable radii are 2-comparable).
     """
-    dirs = _require_directions(omega)
-    src = np.abs(f.values, order="C")  # the shift-add kernel needs C order
-    out = src.copy()
-    for s in dirs:
-        e = direction_vector(s)
-        for _delta, fld in _avg_field_ladder(
-            src, e, cfg.radii, f.spacing, cfg.samples_per_unit, cfg.direct_nodes_cap
-        ):
-            np.maximum(out, fld, out=out)
-    return f.with_values(out)
-
-
-def _column_ladder_radii(cfg: OperatorConfig) -> tuple[float, ...]:
-    """Dyadic ladder of all rectangle half-widths, smallest positive first."""
-    w_min = cfg.radii[0] / 2.0**cfg.aspect_levels
-    levels = cfg.aspect_levels + len(cfg.radii)
-    return tuple(w_min * 2.0**k for k in range(levels))
-
-
-def _offsets(cfg: OperatorConfig, half: float) -> list[float]:
-    if cfg.offset_steps == 0 or half == 0.0:
-        return [0.0]
-    # quarter-step offsets of the full side (length 2 * half)
-    return [k * half / 2.0 for k in range(-cfg.offset_steps, cfg.offset_steps + 1)]
+    return _sup(f, omega, cfg, frozenset((d, 0.0) for d in cfg.radii))
 
 
 def m2(f: Grid2D, omega: DirectionSet, cfg: OperatorConfig) -> Grid2D:
     """Rectangle maximal field over the discretized slope-s rectangle family.
 
-    A rectangle candidate of half-length a and half-width b is evaluated as
-    the centered line average (along e_s, radius a) of the perpendicular
-    column-average field at radius b; b = 0 degenerates to the plain line
-    average.  cfg.offset_steps > 0 additionally evaluates off-center
-    rectangles by shifting the same fields.
+    The candidates (delta, w), w in cfg.widths_for(delta), and the sample
+    itself: the centered line average (along e_s, radius delta) of the
+    perpendicular column-average field at radius w; w = 0 degenerates to the
+    plain line average.  cfg.offset_steps > 0 additionally evaluates
+    off-center rectangles by shifting the same fields.
     """
-    dirs = _require_directions(omega)
-    src = np.abs(f.values, order="C")  # the shift-add kernel needs C order
-    out = src.copy()
-    col_radii = _column_ladder_radii(cfg)
-    for s in dirs:
-        e = direction_vector(s)
-        ep = direction_vector((s + 0.25) % 1.0)
-        columns: dict[float, np.ndarray] = {0.0: src}
-        for wdt, fld in _avg_field_ladder(
-            src, ep, col_radii, f.spacing, cfg.samples_per_unit, cfg.direct_nodes_cap
-        ):
-            columns[wdt] = fld
-        for wdt, col in columns.items():
-            # a width pairs only with lengths up to width * 2**aspect_levels;
-            # truncating the ladder there saves the unused long levels
-            if wdt == 0.0:
-                ladder = cfg.radii
-            else:
-                top = wdt * 2.0**cfg.aspect_levels
-                ladder = tuple(r for r in cfg.radii if r <= top)
-            for delta, fld in _avg_field_ladder(
-                col, e, ladder, f.spacing, cfg.samples_per_unit, cfg.direct_nodes_cap
-            ):
-                if wdt not in cfg.widths_for(delta):
-                    continue
-                for o1 in _offsets(cfg, delta):
-                    for o2 in _offsets(cfg, wdt):
-                        if o1 == 0.0 and o2 == 0.0:
-                            np.maximum(out, fld, out=out)
-                        else:
-                            cand = np.zeros_like(src)
-                            cx = (o1 * e[0] + o2 * ep[0]) / f.spacing
-                            cy = (o1 * e[1] + o2 * ep[1]) / f.spacing
-                            _bilinear_shift_add(cand, fld, cx, cy, 1.0)
-                            np.maximum(out, cand, out=out)
-    return f.with_values(out)
+    pairs = frozenset((d, w) for d in cfg.radii for w in cfg.widths_for(d))
+    return _sup(f, omega, cfg, pairs, offset_steps=cfg.offset_steps)
 
 
 def strong_maximal(f: Grid2D, cfg: OperatorConfig) -> Grid2D:
@@ -618,8 +599,9 @@ def chain_check(
     Uses the centered rectangle family (offsets disabled) and refines the
     inner maximal operator's ladder down to the thinnest rectangle width, so
     every rectangle candidate is dominated by the composition candidate built
-    from the same column field.  Violations are then pure floating-point
-    noise; anything above 1e-9 indicates a broken discretization.
+    from the same column field.  Both sides of each link apply the same line
+    operators, and fl(a + w * b) with w >= 0 is monotone, so any violation
+    above exactly 0.0 indicates a broken discretization.
     """
     if 1.0 not in cfg.radii:
         raise InvalidArgument("chain_check needs 1.0 in cfg.radii for the m0 link")

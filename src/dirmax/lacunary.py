@@ -312,8 +312,7 @@ class LacunaryDecomposition:
     The rank intervals are four read-only arrays in rank, then left-to-right
     order: ``lo``, ``hi``, ``rank`` (int64) and ``pole`` (NaN if untagged).
     ``RankInterval`` objects exist only at the edges: ``rank_intervals`` and
-    ``intervals_of_rank`` build them, ``from_json`` validates each interval
-    through them and then checks the arrays against the chain.
+    ``intervals_of_rank`` build them; ``from_json`` checks arrays instead.
 
     ``poles`` lists every pole used in the construction (one or two per
     inserted group), whether or not it ended up tagging a rank interval.
@@ -368,12 +367,7 @@ class LacunaryDecomposition:
     def from_json(data: dict) -> "LacunaryDecomposition":
         try:
             chain = tuple(tuple(sorted(float(v) for v in s)) for s in data["chain"])
-            intervals = [
-                RankInterval(d["lo"], d["hi"], d["rank"], d.get("pole"))
-                for d in data["rank_intervals"]
-            ]
-            rows = [(j.lo, j.hi, j.rank, j.pole) for j in intervals]  # None -> NaN
-            lo, hi, rank, pole = np.array(rows, dtype=float).reshape(-1, 4).T.copy()
+            lo, hi, rank, pole = _rank_columns(data["rank_intervals"])
             domain = _as_floats(data.get("domain", (chain[-1][0], chain[-1][-1])))
             if len(domain) != 2 or not domain[0] < domain[1]:
                 raise ValueError(f"domain {list(domain)} is not [lo, hi] with lo < hi")
@@ -381,11 +375,10 @@ class LacunaryDecomposition:
             gap = float(data["gap"])
         except KeyError as exc:
             raise InvalidArgument(f"decomposition JSON lacks the key {exc}") from None
-        except (AttributeError, IndexError, TypeError, ValueError) as exc:
+        except (AttributeError, IndexError, OverflowError, TypeError, ValueError) as exc:
             raise InvalidArgument(f"malformed decomposition JSON: {exc}") from None
-        rank = rank.astype(np.int64)
-        _check_rank_arrays(chain, domain, lo, hi, rank, pole)
-        return LacunaryDecomposition(chain, gap, lo, hi, rank, pole, domain, poles)
+        _check_rank_arrays(chain, domain, lo, hi, rank, pole, poles)
+        return LacunaryDecomposition(chain, gap, lo, hi, rank.astype(np.int64), pole, domain, poles)
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -493,12 +486,32 @@ def _gaps(points: Sequence[float], domain: tuple[float, float]) -> tuple[np.ndar
 # ---------------------------------------------------------------------------
 
 
-def _check_rank_arrays(chain, domain, lo, hi, rank, pole) -> None:
+def _rank_columns(rows) -> tuple[np.ndarray, ...]:
+    """(lo, hi, rank, pole) float arrays of JSON rank intervals, pole NaN if null.
+
+    Values must be JSON numbers, not booleans.  The first faulty row is then
+    built as a ``RankInterval``, which raises its error.
+    """
+    rows = [(d["lo"], d["hi"], d["rank"], d.get("pole")) for d in rows]
+    lo, hi, rank, tags = list(zip(*rows)) or [()] * 4
+    for name, col in zip(("lo", "hi", "rank", "pole"), (lo, hi, rank, set(tags) - {None})):
+        if not {type(v) for v in col} <= {int, float}:
+            raise InvalidArgument(f"rank interval {name} values must be numbers")
+    tagged = np.array([p is not None for p in tags], dtype=bool)
+    lo, hi, rank, pole = (np.array(c, dtype=float) for c in (lo, hi, rank, tags))
+    ok = (lo < hi) & (rank >= 1) & (rank == np.floor(rank)) & (~tagged | (lo < pole) & (pole < hi))
+    if not ok.all():
+        i = ok.argmin()
+        RankInterval(lo[i], hi[i], rank[i], pole[i] if tagged[i] else None)
+    return lo, hi, rank, pole
+
+
+def _check_rank_arrays(chain, domain, lo, hi, rank, pole, poles) -> None:
     """InvalidArgument unless the arrays are the rank intervals of the chain.
 
     Ranks run 1..mu in order, rank k holds exactly the nonempty gaps of
-    chain set k in the domain, left to right, and no top-rank interval
-    carries a pole tag.
+    chain set k in the domain, left to right, no top-rank interval carries a
+    pole tag, and every pole tag is one of ``poles``.
     """
     if not chain:
         raise InvalidArgument("a decomposition needs at least one chain set")
@@ -514,10 +527,13 @@ def _check_rank_arrays(chain, domain, lo, hi, rank, pole) -> None:
     want_lo, want_hi = (np.concatenate(c) for c in zip(*gaps))
     bad = (lo != want_lo) | (hi != want_hi)
     if bad.any():
-        k = rank[bad.argmax()]
+        k = int(rank[bad.argmax()])
         raise InvalidArgument(f"the rank-{k} intervals are not the gaps of chain set {k}")
     if not np.isnan(pole[rank == len(chain)]).all():
         raise InvalidArgument("a top-rank interval carries a pole tag")
+    foreign = np.setdiff1d(pole[~np.isnan(pole)], np.asarray(poles, dtype=float))
+    if foreign.size:
+        raise InvalidArgument(f"pole tag {foreign[0]} is not one of the poles")
 
 
 def _order_by_distance(points: Sequence[float], pole: float) -> tuple[float, ...]:

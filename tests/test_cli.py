@@ -121,6 +121,18 @@ class TestExitCodes:
         assert err.startswith("dirmax: ") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_foreign_pole_tag_is_validation_failure(self, tmp_path, capsys):
+        data = random_complete_decomposition(np.random.default_rng(0), 4).to_json()
+        for r in data["rank_intervals"]:
+            if r["pole"] is not None:
+                r["pole"] = r["lo"] + 1e-9 * (r["hi"] - r["lo"])
+        src, out = tmp_path / "d.json", tmp_path / "o.json"
+        src.write_text(json.dumps(data))
+        assert run(["overlap", "--decomp", str(src), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("dirmax: ") and "poles" in err and err.count("\n") == 1
+        assert not out.exists()
+
     def test_chain_outside_domain_is_validation_failure(self, tmp_path, capsys):
         src, out = tmp_path / "chain.json", tmp_path / "d.json"
         src.write_text(json.dumps([[0.1, 0.9]]))

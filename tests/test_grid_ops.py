@@ -16,6 +16,8 @@ from dirmax.grid_ops import (
     OperatorConfig,
     _avg_field_ladder,
     _base_segments,
+    _bilinear_shift_add,
+    _column_ladder_radii,
     _shift_add,
     _trapezoid_field,
     chain_check,
@@ -285,6 +287,116 @@ class TestM0Reference:
         assert got.tobytes() == _two_branch_m0(f, omega, cfg).tobytes()
 
 
+def _loop_m1(f: Grid2D, omega: DirectionSet, cfg: OperatorConfig) -> np.ndarray:
+    """Reference: m1 as its own loop over directions and the radius ladder."""
+    src = np.abs(f.values, order="C")
+    out = src.copy()
+    for s in omega.values:
+        e = direction_vector(s)
+        for _delta, fld in _avg_field_ladder(
+            src, e, cfg.radii, f.spacing, cfg.samples_per_unit, cfg.direct_nodes_cap
+        ):
+            np.maximum(out, fld, out=out)
+    return out
+
+
+def _loop_offsets(cfg: OperatorConfig, half: float) -> list[float]:
+    if cfg.offset_steps == 0 or half == 0.0:
+        return [0.0]
+    return [k * half / 2.0 for k in range(-cfg.offset_steps, cfg.offset_steps + 1)]
+
+
+def _loop_m2(f: Grid2D, omega: DirectionSet, cfg: OperatorConfig) -> np.ndarray:
+    """Reference: m2 as its own loop over directions, column widths, lengths
+    and offsets."""
+    src = np.abs(f.values, order="C")
+    out = src.copy()
+    col_radii = _column_ladder_radii(cfg)
+    for s in omega.values:
+        e = direction_vector(s)
+        ep = direction_vector((s + 0.25) % 1.0)
+        columns = {0.0: src}
+        for wdt, fld in _avg_field_ladder(
+            src, ep, col_radii, f.spacing, cfg.samples_per_unit, cfg.direct_nodes_cap
+        ):
+            columns[wdt] = fld
+        for wdt, col in columns.items():
+            if wdt == 0.0:
+                ladder = cfg.radii
+            else:
+                top = wdt * 2.0**cfg.aspect_levels
+                ladder = tuple(r for r in cfg.radii if r <= top)
+            for delta, fld in _avg_field_ladder(
+                col, e, ladder, f.spacing, cfg.samples_per_unit, cfg.direct_nodes_cap
+            ):
+                if wdt not in cfg.widths_for(delta):
+                    continue
+                for o1 in _loop_offsets(cfg, delta):
+                    for o2 in _loop_offsets(cfg, wdt):
+                        if o1 == 0.0 and o2 == 0.0:
+                            np.maximum(out, fld, out=out)
+                        else:
+                            cand = np.zeros_like(src)
+                            cx = (o1 * e[0] + o2 * ep[0]) / f.spacing
+                            cy = (o1 * e[1] + o2 * ep[1]) / f.spacing
+                            _bilinear_shift_add(cand, fld, cx, cy, 1.0)
+                            np.maximum(out, cand, out=out)
+    return out
+
+
+@st.composite
+def operator_cases(draw, unit_radius=None, offsets=True):
+    """A small sparse signed grid, a direction set and an operator config.
+
+    ``unit_radius`` True puts 1.0 in the radii, False keeps it out, None
+    draws either.
+    """
+    levels = draw(st.integers(1, 3))
+    if unit_radius is None:
+        unit_radius = draw(st.booleans())
+    if unit_radius:
+        base = 2.0 ** -draw(st.integers(0, levels - 1))
+    else:
+        base = draw(st.sampled_from([0.15, 0.3, 0.375]))
+    cfg = OperatorConfig.dyadic(
+        base,
+        levels,
+        samples_per_unit=draw(st.sampled_from([4, 8, 16])),
+        aspect_levels=draw(st.integers(0, 3)),
+        offset_steps=draw(st.integers(0, 2)) if offsets else 0,
+        direct_nodes_cap=draw(st.sampled_from([1, 2, 5, 9, 17, 33, 129])),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (draw(st.integers(6, 18)), draw(st.integers(6, 18)))
+    values = rng.standard_normal(shape) * (rng.uniform(size=shape) < 0.3)
+    axes = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75]), max_size=2))
+    others = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=2))
+    omega = DirectionSet(tuple(axes + others) or (0.0,))
+    return Grid2D(values, 1 / 8), omega, cfg
+
+
+class TestLoopReferences:
+    """The operators match their former per-operator loops bit for bit."""
+
+    @given(case=operator_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_m0_matches_two_branch_reference(self, case):
+        f, omega, cfg = case
+        assert m0(f, omega, cfg).values.tobytes() == _two_branch_m0(f, omega, cfg).tobytes()
+
+    @given(case=operator_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_m1_matches_loop_reference(self, case):
+        f, omega, cfg = case
+        assert m1(f, omega, cfg).values.tobytes() == _loop_m1(f, omega, cfg).tobytes()
+
+    @given(case=operator_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_m2_matches_loop_reference(self, case):
+        f, omega, cfg = case
+        assert m2(f, omega, cfg).values.tobytes() == _loop_m2(f, omega, cfg).tobytes()
+
+
 class TestM1:
     def test_constant(self):
         g = Grid2D(np.ones((65, 65)), 1 / 8)
@@ -468,6 +580,14 @@ class TestChain:
             om = DirectionSet(tuple(rng.uniform(0, 1, 8)))
             rep = chain_check(g, om, CFG)
             assert rep.max_violation <= 1e-9, (trial, rep)
+
+    @given(case=operator_cases(unit_radius=True, offsets=False))
+    @settings(max_examples=80, deadline=None)
+    def test_random_configs_exactly_zero(self, case):
+        # every link compares fields built by the same line operator, and
+        # fl(a + w * b) with w >= 0 is monotone, so domination is exact
+        f, omega, cfg = case
+        assert chain_check(f, omega, cfg).max_violation == 0.0
 
     def test_requires_unit_radius(self):
         with pytest.raises(InvalidArgument):

@@ -547,11 +547,20 @@ class TestRankArrays:
 
     def test_from_json_validates_every_interval(self):
         data = REFERENCE_CORPUS["random-mu2-depth1-fill1.0"]().to_json()
-        for bad in ({"lo": 0.5, "hi": 0.5}, {"rank": 0}, {"rank": 1.5}, {"pole": 2.0}):
+        cases = [
+            ({"lo": 0.5, "hi": 0.5}, InvalidArgument), ({"rank": 0}, InvalidArgument),
+            ({"rank": 1.5}, InvalidArgument), ({"rank": True}, InvalidArgument),
+            ({"rank": 10**400}, InvalidArgument), ({"rank": None}, InvalidArgument),
+            ({"rank": "1"}, InvalidArgument), ({"lo": "0.1"}, InvalidArgument),
+            ({"hi": None}, InvalidArgument), ({"pole": "0.5"}, InvalidArgument),
+            ({"pole": 2.0}, ValidationFailure), ({"pole": math.nan}, ValidationFailure),
+        ]
+        for bad, error in cases:
             broken = json.loads(json.dumps(data))
             broken["rank_intervals"][1].update(bad)
-            with pytest.raises((InvalidArgument, ValidationFailure)):
+            with pytest.raises((InvalidArgument, ValidationFailure)) as info:
                 LacunaryDecomposition.from_json(broken)
+            assert info.type is error, bad
 
     def test_from_json_rejects_forged_rank_intervals(self):
         data = random_complete_decomposition(np.random.default_rng(0), 4).to_json()
@@ -567,6 +576,7 @@ class TestRankArrays:
             ("swap-rank-2", "rank-2 intervals"),
             ("shrink-top", "rank-3 intervals"),
             ("tag-top", "top-rank"),
+            ("retag-foreign", "not one of the poles"),
         ],
     )
     def test_from_json_checks_intervals_against_chain(self, edit, message):
@@ -583,8 +593,13 @@ class TestRankArrays:
             rows[3], rows[4] = rows[4], rows[3]
         elif edit == "shrink-top":
             top["lo"] = mid
-        else:
+        elif edit == "tag-top":
             top["pole"] = mid
+        else:
+            # still strictly inside each interval, but no pole of the file
+            for r in rows:
+                if r["pole"] is not None:
+                    r["pole"] = r["lo"] + 1e-9 * (r["hi"] - r["lo"])
         with pytest.raises(InvalidArgument, match=message):
             LacunaryDecomposition.from_json(data)
 
@@ -607,10 +622,12 @@ class TestRankArrays:
 
     def test_from_json_converts_poles_and_domain_to_floats(self):
         data = REFERENCE_CORPUS["random-mu2-depth1-fill1.0"]().to_json()
-        data["poles"] = ["0.5"]
+        poles = tuple(data["poles"])
+        # the same numbers as text: every pole tag must still be one of them
+        data["poles"] = [repr(p) for p in poles]
         data["domain"] = [0, 1]
         d = LacunaryDecomposition.from_json(data)
-        assert d.poles == (0.5,) and d.domain == (0.0, 1.0)
+        assert d.poles == poles and d.domain == (0.0, 1.0)
         assert all(type(v) is float for v in d.poles + d.domain)
         # without the key, the poles are the distinct interval tags
         del data["poles"]

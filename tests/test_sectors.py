@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from dirmax.errors import InvalidArgument, PreconditionViolation
 from dirmax.grid_ops import Grid2D, OperatorConfig
 from dirmax.lacunary import (
+    LacunaryDecomposition,
     RankInterval,
     binary_decomposition,
     random_complete_decomposition,
@@ -279,7 +280,7 @@ class TestStripArrays:
         max_overlap_with_argmax(d)
         overlap_count(d, (100.0, 50.0))
         strip_multiplier_energy(d, random_field(0, n=16))
-        d.to_json()
+        LacunaryDecomposition.from_json(d.to_json())
         max_overlap(binary_decomposition(np.linspace(0, 1, 50)), require_poles=False)
         with pytest.raises(AssertionError):
             d.rank_intervals  # the edge still builds (and validates) objects
