@@ -229,14 +229,16 @@ def _cmd_overlap(args) -> int:
 def _cmd_check_support(args) -> int:
     data = _load_json(args.chain)
     try:
-        chain = [
-            RankInterval(d["lo"], d["hi"], k + 1, d.get("pole"))
-            for k, d in enumerate(data)
-        ]
+        rows = [(d["lo"], d["hi"], d.get("pole")) for d in data]
     except (AttributeError, KeyError, TypeError) as exc:
         raise InvalidArgument(
             f"{args.chain}: expected a JSON array of {{lo, hi, pole}} objects ({exc!r})"
         ) from None
+    num = (int, float)  # JSON numbers; bool is a subclass of int, so test exact types
+    if not all(type(lo) in num and type(hi) in num and (pole is None or type(pole) in num)
+               for lo, hi, pole in rows):
+        raise InvalidArgument(f"{args.chain}: interval lo, hi and pole must be JSON numbers")
+    chain = [RankInterval(lo, hi, k + 1, pole) for k, (lo, hi, pole) in enumerate(rows)]
     rep = support_containment_check(chain, args.theta, args.R, samples=args.samples)
     payload = {
         "m": rep.m,

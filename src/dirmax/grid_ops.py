@@ -55,7 +55,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .errors import InvalidArgument, TruncationError
 from .kernels import bump_eval, bump_integral, vp_eval, BUMP_AMPLITUDE
@@ -189,10 +188,10 @@ class Grid2D:
             with warnings.catch_warnings():
                 # an empty file is rejected below, as a grid with no samples
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                data = np.loadtxt(path, delimiter=",")
+                data = np.loadtxt(path, delimiter=",", ndmin=2)
         except ValueError as exc:
             raise InvalidArgument(f"{path}: malformed CSV grid ({exc})") from None
-        return Grid2D(np.atleast_2d(data), spacing)
+        return Grid2D(data, spacing)
 
 
 @dataclass(frozen=True)
@@ -498,6 +497,7 @@ def strong_maximal(f: Grid2D, cfg: OperatorConfig) -> Grid2D:
 # numerically evaluated value 9.037 from above
 _VP_L1 = 9.04
 _VP_TAIL = 16.0  # integral_{|u| > T} |V_r| <= 16 / (r T), from |V_r| <= 8/(r u^2)
+_MAX_LOST_FRACTION = 1e-3  # largest kernel mass fraction gamma_op may lose
 
 
 def _gamma_tail_fraction(
@@ -540,35 +540,61 @@ def gamma_kernel(f: Grid2D, alpha: float, r: float, h: float) -> np.ndarray:
     return vr * bump_eval(h, x1)[None, :] * f.spacing**2
 
 
+def _convolve_same(a: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Linear convolution of a real 2-d float64 ``a`` with ``k``, cropped to a's shape.
+
+    The transformed axes are those where a is longer than 1 (both, for a
+    single sample); each is zero-padded to the smallest size >= its full
+    length with no prime factor above 5, and the unscaled inverse is
+    multiplied by 1 / prod(sizes) once.  Sizes, axes and scaling are fixed
+    because each changes the last bits; the tests pin them against an
+    independent FFT convolution.
+    """
+
+    def padded(n: int) -> int:
+        odd = (3**b * 5**c for b in range(n.bit_length()) for c in range(n.bit_length()))
+        return min(p << ((n - 1) // p).bit_length() for p in odd)
+
+    axes = tuple(ax for ax in (0, 1) if a.shape[ax] > 1) or (0, 1)
+    s = [padded(a.shape[ax] + k.shape[ax] - 1) for ax in axes]
+    spec = np.fft.rfftn(a, s, axes=axes) * np.fft.rfftn(k, s, axes=axes)
+    full = np.fft.irfftn(spec, s, axes=axes, norm="forward") * (1.0 / math.prod(s))
+    i, j = ((m - 1) // 2 for m in k.shape)
+    return full[i : i + a.shape[0], j : j + a.shape[1]].copy()
+
+
 def gamma_op(
-    f: Grid2D,
-    alpha: float,
-    r: float,
-    h: float,
-    check_truncation: bool = True,
-    max_lost_fraction: float = 1e-3,
+    f: Grid2D, alpha: float, r: float, h: float, check_truncation: bool = True
 ) -> Grid2D:
     """Convolve f with the directional smoothing kernel V_r(x2 - alpha x1) phi_h(x1).
 
-    Linear (zero-padded) convolution computed spectrally.  When the estimated
-    kernel mass outside the sampled box exceeds ``max_lost_fraction`` of the
-    total, a TruncationError carrying the estimate is raised; enlarge the
-    grid, raise r, or shrink h to pass the guard.
+    Linear (zero-padded) convolution computed spectrally with numpy.fft, in
+    float64; a complex grid's real and imaginary parts are convolved apart.
+    When the estimated kernel mass outside the sampled box exceeds
+    ``_MAX_LOST_FRACTION`` of the total, a TruncationError carrying the
+    estimate is raised; enlarge the grid, raise r, or shrink h to pass the
+    guard.
     """
     if not (r > 0 and h > 0):
         raise InvalidArgument("r and h must be positive")
     lx = 0.5 * (f.width - 1) * f.spacing
     ly = 0.5 * (f.height - 1) * f.spacing
     lost = _gamma_tail_fraction(r, h, alpha, lx, ly, f.spacing)
-    if check_truncation and lost > max_lost_fraction:
+    if check_truncation and lost > _MAX_LOST_FRACTION:
         raise TruncationError(
             f"kernel loses an estimated {lost:.2e} of its mass outside the "
-            f"grid (limit {max_lost_fraction:.1e}); enlarge the grid or "
+            f"grid (limit {_MAX_LOST_FRACTION:.1e}); enlarge the grid or "
             "increase r / decrease h",
             lost_fraction=lost,
         )
     kernel = gamma_kernel(f, alpha, r, h)
-    out = fftconvolve(f.values, kernel, mode="same")
+    v = f.values
+    if np.iscomplexobj(v):
+        out = _convolve_same(v.real.astype(float), kernel) + 1j * _convolve_same(
+            v.imag.astype(float), kernel
+        )
+    else:
+        out = _convolve_same(v.astype(float, copy=False), kernel)
     return f.with_values(out)
 
 

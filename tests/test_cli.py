@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dirmax
 from dirmax.cli import run
 from dirmax.grid_ops import Grid2D, OperatorConfig, m1
 from dirmax.lacunary import (
@@ -306,6 +311,24 @@ class TestOverlapAndSupport:
         assert run(["check-support", "--chain", str(chain), "--theta", "0.4",
                     "--R", "100"]) == 1
 
+    @pytest.mark.parametrize(
+        "row",
+        [{"lo": "0", "hi": "1"}, {"lo": 0.0, "hi": True}, {"lo": None, "hi": 1.0},
+         {"lo": 0.0, "hi": 1.0, "pole": "0.5"}],
+        ids=["lo-string", "hi-boolean", "lo-null", "pole-string"],
+    )
+    def test_check_support_non_numeric_interval_is_validation_failure(
+        self, tmp_path, capsys, row
+    ):
+        chain = tmp_path / "chain.json"
+        chain.write_text(json.dumps([row]))
+        out = tmp_path / "rep.json"
+        assert run(["check-support", "--chain", str(chain), "--theta", "0.4",
+                    "--R", "100", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("dirmax: ") and "numbers" in err and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestSweep:
     def test_csv_output(self, tmp_path):
@@ -325,3 +348,14 @@ class TestSweep:
         ra = json.loads(a.read_text())["rows"]
         rb = json.loads(b.read_text())["rows"]
         assert [r["max_ratio"] for r in ra] == [r["max_ratio"] for r in rb]
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy serves the tests as an oracle
+    src = str(Path(dirmax.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, dirmax, dirmax.cli; "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "[]"

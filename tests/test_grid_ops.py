@@ -16,6 +16,7 @@ from dirmax.grid_ops import (
     OperatorConfig,
     _avg_field_ladder,
     _base_segments,
+    _bilinear_sample,
     _bilinear_shift_add,
     _column_ladder_radii,
     _shift_add,
@@ -83,6 +84,15 @@ class TestGrid2D:
         assert int.from_bytes(raw[4:8], "little") == 5
         assert int.from_bytes(raw[8:12], "little") == 3
         assert len(raw) == 16 + 8 + 8 * 15
+
+    @pytest.mark.parametrize("text, shape", [("1\n2\n3\n", (3, 1)), ("1,2,3\n", (1, 3))],
+                             ids=["one-column", "one-row"])
+    def test_csv_single_column_or_row_keeps_its_shape(self, tmp_path, text, shape):
+        p = tmp_path / "g.csv"
+        p.write_text(text)
+        g = Grid2D.load_csv(p, 0.125)
+        assert g.values.shape == shape
+        assert g.values.ravel().tolist() == [1.0, 2.0, 3.0]
 
     def test_csv_roundtrip(self, tmp_path):
         g = smooth_grid(1, n=9)
@@ -456,34 +466,30 @@ class TestM1:
 
 
 def _brute_force_m2(f: Grid2D, s: float, cfg: OperatorConfig, x, spu: int = 64):
-    """Independent dense-quadrature rectangle search (centered family)."""
+    """Independent dense-quadrature rectangle search (centered family).
+
+    Each rectangle's tensor trapezoid node grid is sampled bilinearly at once.
+    """
     e = direction_vector(s)
     ep = direction_vector((s + 0.25) % 1.0)
+    absf = f.abs()
+
+    def trapezoid(half: float):
+        if half == 0.0:
+            return np.array([0.0]), np.array([1.0])
+        n = max(2, round(2 * half * spu))
+        w = np.full(n + 1, 1.0 / n)
+        w[0] = w[-1] = 0.5 / n
+        return np.linspace(-half, half, n + 1), w
+
     best = 0.0
     for a in cfg.radii:
+        us, wu = trapezoid(a)
         for b in cfg.widths_for(a):
-            nu = max(2, round(2 * a * spu))
-            us = np.linspace(-a, a, nu + 1)
-            wu = np.full(nu + 1, 1.0 / nu)
-            wu[0] = wu[-1] = 0.5 / nu
-            if b == 0.0:
-                vs = np.array([0.0])
-                wv = np.array([1.0])
-            else:
-                nv = max(2, round(2 * b * spu))
-                vs = np.linspace(-b, b, nv + 1)
-                wv = np.full(nv + 1, 1.0 / nv)
-                wv[0] = wv[-1] = 0.5 / nv
-            total = 0.0
-            for u, cu in zip(us, wu):
-                px = x[0] + u * e[0] + vs * ep[0]
-                py = x[1] + u * e[1] + vs * ep[1]
-                vals = [
-                    directional_avg(f, 0.0, 1e-9, (qx, qy), samples_per_unit=1)
-                    for qx, qy in zip(px, py)
-                ]
-                total += cu * float(np.dot(wv, vals))
-            best = max(best, total)
+            vs, wv = trapezoid(b)
+            px = x[0] + us[:, None] * e[0] + vs[None, :] * ep[0]
+            py = x[1] + us[:, None] * e[1] + vs[None, :] * ep[1]
+            best = max(best, float(wu @ _bilinear_sample(absf, px, py) @ wv))
     return best
 
 
@@ -667,6 +673,42 @@ class TestGamma:
         c0 = (ker.shape[1] - 1) // 2
         same = full[r0 : r0 + 48, c0 : c0 + 48]
         assert float(np.max(np.abs(out.values - same))) < 1e-6
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 70), st.integers(1, 70), st.sampled_from([0.0, 0.3, -0.9, 2.5]),
+        st.sampled_from([4.0, 1024.0]), st.booleans(), st.integers(0, 2**32 - 1),
+    )
+    @example(1, 1, 0.3, 4.0, False, 0)
+    @example(67, 61, 0.3, 4.0, False, 0)  # prime sides: padded to 5-smooth sizes
+    @example(49, 1, 0.9, 1024.0, True, 1)  # a single column: one transformed axis
+    @example(1, 59, -0.9, 4.0, False, 2)
+    def test_bits_match_scipy_fftconvolve(self, rows, cols, alpha, r, fortran, seed):
+        v = np.random.default_rng(seed).standard_normal((rows, cols))
+        f = Grid2D(np.asfortranarray(v) if fortran else v, 1 / 16)
+        out = gamma_op(f, alpha, r, 0.5, check_truncation=False).values
+        ref = scipy.signal.fftconvolve(v, gamma_kernel(f, alpha, r, 0.5), mode="same")
+        assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes()
+
+    def test_float32_grid_is_convolved_in_float64(self):
+        v = np.random.default_rng(4).standard_normal((33, 47))
+        f = Grid2D(v.astype(np.float32), 1 / 16)
+        out = gamma_op(f, 0.3, 4.0, 0.5, check_truncation=False).values
+        ref = scipy.signal.fftconvolve(
+            v.astype(np.float32).astype(float), gamma_kernel(f, 0.3, 4.0, 0.5), mode="same"
+        )
+        assert out.tobytes() == ref.tobytes()
+
+    def test_complex_grid_matches_scipy_to_rounding(self):
+        # real and imaginary parts are convolved apart, so the result differs
+        # from scipy's complex transform at rounding level only
+        rng = np.random.default_rng(5)
+        v = rng.standard_normal((33, 47)) + 1j * rng.standard_normal((33, 47))
+        f = Grid2D(v, 1 / 16)
+        out = gamma_op(f, 0.3, 4.0, 0.5, check_truncation=False).values
+        ref = scipy.signal.fftconvolve(v, gamma_kernel(f, 0.3, 4.0, 0.5), mode="same")
+        assert np.iscomplexobj(out)
+        assert float(np.max(np.abs(out - ref))) <= 1e-14 * float(np.max(np.abs(ref)))
 
     def test_linearity(self):
         rng = np.random.default_rng(3)
