@@ -164,7 +164,7 @@ def _operator_config(args, spacing: float) -> OperatorConfig:
         radii = tuple(0.25 * 2.0**k for k in range(4))
     return OperatorConfig(
         radii,
-        samples_per_unit=args.spu or max(1, round(1.0 / spacing)),
+        samples_per_unit=max(1, round(1.0 / spacing)) if args.spu is None else args.spu,
         aspect_levels=args.aspects,
         offset_steps=args.offsets,
     )

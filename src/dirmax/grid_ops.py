@@ -39,6 +39,15 @@ radii with few nodes are computed by the direct composite rule (the
 intermediate field rather than f, so near the grid edge it undershoots the
 direct rule, and a cascaded level whose shift reaches the grid side is 0.
 
+Every shift-add is bounded to the row band [r0, r1) where its source is
+nonzero, found by one ``any(axis=1)`` scan per source field, and each
+candidate is max-reduced into the result over its own band only.  This is
+exact, not an approximation, because every engine field is built from
+``np.abs`` and ``zeros_like`` by adding w * source with w >= 0, so it is
+nonnegative and never -0.0: a skipped row would only have received
+x + (+0.0) == x, and max(x, +0.0) == x.  An all-zero field (say a cascaded
+level whose shift passes the grid side) costs one scan and no adds.
+
 All operations are pure; fields are computed in a fixed summation order so
 results are reproducible bit for bit.
 """
@@ -261,10 +270,24 @@ def direction_vector(s: float) -> tuple[float, float]:
     return (math.cos(a), math.sin(a))
 
 
-def _shift_add(out: np.ndarray, src: np.ndarray, di: int, dj: int, w: float) -> None:
+def _row_band(a: np.ndarray) -> tuple[int, int]:
+    """The rows [r0, r1) that hold every nonzero entry of ``a``; (0, 0) if none."""
+    rows = np.flatnonzero(a.any(axis=1))
+    return (int(rows[0]), int(rows[-1]) + 1) if rows.size else (0, 0)
+
+
+def _shift_add(
+    out: np.ndarray, src: np.ndarray, di: int, dj: int, w: float,
+    rows: Optional[tuple[int, int]] = None,
+) -> None:
     """out += w * translate(src) where translate reads src at (i+di, j+dj).
 
-    Zero extension: out-of-range reads contribute nothing.
+    Zero extension: out-of-range reads contribute nothing.  ``rows`` = (r0,
+    r1) promises that src is zero outside its rows [r0, r1), so only the
+    output rows reading them, [r0 - di, r1 - di), are added to.  That is bit
+    for bit the full add when out holds no -0.0, as no engine field does
+    (they are nonnegative sums started from ``zeros_like``): each skipped
+    row would only get x + (w * 0.0), which is x unless x is -0.0.
 
     Both arrays must be C-contiguous and of the same shape: the valid output
     rows form one run of the flattened array, which is updated by a single
@@ -277,7 +300,8 @@ def _shift_add(out: np.ndarray, src: np.ndarray, di: int, dj: int, w: float) -> 
     if w == 0.0:
         return
     h, wdt = out.shape
-    i0, i1 = max(0, -di), min(h, h - di)
+    r0, r1 = (0, h) if rows is None else rows
+    i0, i1 = max(0, r0 - di), min(h, r1 - di)
     j0, j1 = max(0, -dj), min(wdt, wdt - dj)
     if i0 >= i1 or j0 >= j1:
         return
@@ -291,26 +315,33 @@ def _shift_add(out: np.ndarray, src: np.ndarray, di: int, dj: int, w: float) -> 
         wrap[...] = kept
 
 
-def _bilinear_shift_add(out, src, cx: float, cy: float, w: float) -> None:
-    """out += w * (src sampled at lattice points shifted by (cx, cy) grid units)."""
+def _bilinear_shift_add(out, src, cx: float, cy: float, w: float, rows=None) -> None:
+    """out += w * (src sampled at lattice points shifted by (cx, cy) grid units).
+
+    ``rows`` is src's nonzero row band, as in ``_shift_add``.
+    """
     jx, fy_x = math.floor(cx), cx - math.floor(cx)
     iy, fy_y = math.floor(cy), cy - math.floor(cy)
-    _shift_add(out, src, iy, jx, w * (1 - fy_x) * (1 - fy_y))
-    _shift_add(out, src, iy, jx + 1, w * fy_x * (1 - fy_y))
-    _shift_add(out, src, iy + 1, jx, w * (1 - fy_x) * fy_y)
-    _shift_add(out, src, iy + 1, jx + 1, w * fy_x * fy_y)
+    _shift_add(out, src, iy, jx, w * (1 - fy_x) * (1 - fy_y), rows)
+    _shift_add(out, src, iy, jx + 1, w * fy_x * (1 - fy_y), rows)
+    _shift_add(out, src, iy + 1, jx, w * (1 - fy_x) * fy_y, rows)
+    _shift_add(out, src, iy + 1, jx + 1, w * fy_x * fy_y, rows)
 
 
 def _trapezoid_field(
     src: np.ndarray, e: tuple[float, float], delta: float, n_seg: int, spacing: float
 ) -> np.ndarray:
-    """Composite-trapezoid centered line average of the field, all pixels at once."""
+    """Composite-trapezoid centered line average of the field, all pixels at once.
+
+    Each shift-add covers only the rows reading src's nonzero band.
+    """
     out = np.zeros_like(src)
+    rows = _row_band(src)
     step = 2.0 * delta / n_seg
     for k in range(n_seg + 1):
         t = -delta + k * step
         w = (0.5 if k in (0, n_seg) else 1.0) / n_seg
-        _bilinear_shift_add(out, src, t * e[0] / spacing, t * e[1] / spacing, w)
+        _bilinear_shift_add(out, src, t * e[0] / spacing, t * e[1] / spacing, w, rows)
     return out
 
 
@@ -331,17 +362,20 @@ def _avg_field_ladder(
     Levels whose node count stays at or below ``direct_cap`` use the direct
     composite trapezoid rule; larger levels are built from the previous one by
     the two-point dyadic cascade.  The node count doubles with the radius, so
-    the quadrature density is scale independent.
+    the quadrature density is scale independent.  Each level is built over
+    the nonzero row band of its source (src, or the previous level); for a
+    nonnegative src every level is nonnegative and never -0.0.
     """
     for k, delta in enumerate(radii):
         n_seg = _base_segments(radii[0], spu) * 2**k
         if k == 0 or n_seg + 1 <= direct_cap:
             fld = _trapezoid_field(src, e, delta, n_seg, spacing)
         else:
-            half = delta / 2.0
+            cx, cy = delta / 2.0 * e[0] / spacing, delta / 2.0 * e[1] / spacing
+            rows = _row_band(prev)
             fld = np.zeros_like(src)
-            _bilinear_shift_add(fld, prev, -half * e[0] / spacing, -half * e[1] / spacing, 0.5)
-            _bilinear_shift_add(fld, prev, half * e[0] / spacing, half * e[1] / spacing, 0.5)
+            _bilinear_shift_add(fld, prev, -cx, -cy, 0.5, rows)
+            _bilinear_shift_add(fld, prev, cx, cy, 0.5, rows)
         prev = fld
         yield delta, fld
 
@@ -383,7 +417,9 @@ def directional_avg(
     """
     if not (delta > 0):
         raise InvalidArgument("delta must be positive")
-    spu = samples_per_unit or max(1, round(1.0 / f.spacing))
+    spu = max(1, round(1.0 / f.spacing)) if samples_per_unit is None else samples_per_unit
+    if spu < 1:
+        raise InvalidArgument("samples_per_unit must be >= 1")
     e = direction_vector(s)
     n_seg = _base_segments(delta, spu)
     ts = np.linspace(-delta, delta, n_seg + 1)
@@ -408,6 +444,8 @@ def _sup(
     ``point`` adds |f| itself, ``offset_steps`` the off-center rectangles.
     Every ladder starts at its first level (the direct/cascade choice and
     the node count depend on the level index) and stops at its last in use.
+    Each candidate is max-reduced over its nonzero row band only, which is
+    exact because the result and every candidate are >= +0.0.
     """
     if len(omega) == 0:
         raise InvalidArgument("direction set must be nonempty")
@@ -432,14 +470,16 @@ def _sup(
             for delta, fld in _avg_field_ladder(columns[w], e, ladder, h, spu, cap):
                 if (delta, w) not in pairs:
                     continue
+                rows = _row_band(fld)
                 for o1, o2 in itertools.product(shifts(delta), shifts(w)):
-                    cand = fld
+                    cand, (r0, r1) = fld, rows
                     if o1 or o2:
                         cand = np.zeros_like(src)
                         cx = (o1 * e[0] + o2 * ep[0]) / h
                         cy = (o1 * e[1] + o2 * ep[1]) / h
-                        _bilinear_shift_add(cand, fld, cx, cy, 1.0)
-                    np.maximum(out, cand, out=out)
+                        _bilinear_shift_add(cand, fld, cx, cy, 1.0, rows)
+                        r0, r1 = _row_band(cand)
+                    np.maximum(out[r0:r1], cand[r0:r1], out=out[r0:r1])
     return f.with_values(out)
 
 

@@ -248,6 +248,16 @@ class TestApply:
         assert out.read_bytes() == ref.read_bytes()
         assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".tmp")] == []
 
+    @pytest.mark.parametrize("spu", ["0", "-3"])
+    def test_nonpositive_spu_is_validation_failure(
+        self, grid_file, dirs_file, tmp_path, capsys, spu
+    ):
+        out = tmp_path / "out.grd"
+        assert run(["apply", "--op", "m1", "--grid", str(grid_file),
+                    "--directions", str(dirs_file), "--spu", spu, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "dirmax: samples_per_unit must be >= 1\n"
+        assert not out.exists()
+
     def test_gamma(self, grid_file, tmp_path):
         out = tmp_path / "out.grd"
         assert run(["apply", "--op", "gamma", "--grid", str(grid_file),

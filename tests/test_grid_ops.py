@@ -1,8 +1,10 @@
 """Discrete maximal operators: quadrature, chain, and smoothing kernel."""
 
+import functools
 import math
 import struct
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from dirmax.grid_ops import (
     _bilinear_sample,
     _bilinear_shift_add,
     _column_ladder_radii,
+    _row_band,
     _shift_add,
     _trapezoid_field,
     chain_check,
@@ -169,6 +172,47 @@ class TestShiftAdd:
         _shift_add(out, src, di, dj, w)
         assert out.tobytes() == ref.tobytes()
 
+    @given(
+        h=st.integers(1, 30),
+        wdt=st.integers(1, 30),
+        di=st.integers(-40, 40),
+        dj=st.integers(-40, 40),
+        w=st.one_of(st.just(0.0), st.floats(0.0, 4.0)),
+        band=st.tuples(st.integers(0, 30), st.integers(0, 30)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(h=7, wdt=5, di=1, dj=2, w=0.5, band=(3, 3), seed=0)  # empty band
+    @example(h=7, wdt=5, di=4, dj=1, w=0.5, band=(1, 4), seed=0)  # shifted off the top
+    @example(h=7, wdt=5, di=-5, dj=-1, w=0.5, band=(3, 7), seed=0)  # off the bottom
+    @example(h=7, wdt=5, di=-1, dj=3, w=0.5, band=(0, 2), seed=0)  # touches row 0
+    @example(h=7, wdt=5, di=1, dj=-2, w=0.5, band=(5, 7), seed=0)  # touches row h
+    @example(h=7, wdt=5, di=0, dj=0, w=1.0, band=(0, 7), seed=0)  # every row
+    @settings(max_examples=400, deadline=None)
+    def test_band_matches_slice_reference_bitwise(self, h, wdt, di, dj, w, band, seed):
+        # a nonnegative source that is zero outside its rows [r0, r1), and an
+        # output with zeros but no -0.0: the invariants of every engine field
+        r0 = min(band[0], h)
+        r1 = min(max(band[1], r0), h)
+        rng = np.random.default_rng(seed)
+        src = rng.uniform(0.0, 1.0, (h, wdt)) * (rng.uniform(size=(h, wdt)) < 0.3)
+        src[:r0] = 0.0
+        src[r1:] = 0.0
+        before = rng.uniform(0.0, 1.0, (h, wdt)) * (rng.uniform(size=(h, wdt)) < 0.5)
+        ref = before.copy()
+        _slice_shift_add(ref, src, di, dj, w)
+        for rows in ((r0, r1), _row_band(src)):
+            out = before.copy()
+            _shift_add(out, src, di, dj, w, rows)
+            assert out.tobytes() == ref.tobytes(), rows
+
+    def test_row_band(self):
+        a = np.zeros((6, 4))
+        assert _row_band(a) == (0, 0)
+        a[2, 3] = a[4, 0] = 0.5
+        assert _row_band(a) == (2, 5)
+        a[0, 1] = a[5, 2] = 1.0
+        assert _row_band(a) == (0, 6)
+
     def test_rejects_fortran_order(self):
         out = np.asfortranarray(np.zeros((4, 6)))
         with pytest.raises(ValueError):
@@ -209,6 +253,11 @@ class TestDirectionalAvg:
         with pytest.raises(InvalidArgument):
             directional_avg(smooth_grid(0), 0.0, 0.0, (0, 0))
 
+    @pytest.mark.parametrize("spu", [0, -2])
+    def test_rejects_nonpositive_samples_per_unit(self, spu):
+        with pytest.raises(InvalidArgument, match="samples_per_unit must be >= 1"):
+            directional_avg(smooth_grid(0), 0.1, 0.5, (0, 0), samples_per_unit=spu)
+
 
 class TestM0:
     def test_constant(self):
@@ -244,6 +293,19 @@ class TestM0:
             m0(smooth_grid(0), DirectionSet(()))
 
 
+def _full_rows(reference):
+    """Run a reference on the engine with every shift-add over all rows, as
+    before the row bands: every source band is taken to be the whole grid."""
+
+    @functools.wraps(reference)
+    def run(*args, **kwargs):
+        with mock.patch("dirmax.grid_ops._row_band", lambda a: (0, a.shape[0])):
+            return reference(*args, **kwargs)
+
+    return run
+
+
+@_full_rows
 def _two_branch_m0(f: Grid2D, omega: DirectionSet, cfg=None) -> np.ndarray:
     """Reference: m0 with a ladder branch for 1.0 in the radii and a direct
     trapezoid branch otherwise."""
@@ -297,6 +359,7 @@ class TestM0Reference:
         assert got.tobytes() == _two_branch_m0(f, omega, cfg).tobytes()
 
 
+@_full_rows
 def _loop_m1(f: Grid2D, omega: DirectionSet, cfg: OperatorConfig) -> np.ndarray:
     """Reference: m1 as its own loop over directions and the radius ladder."""
     src = np.abs(f.values, order="C")
@@ -316,6 +379,7 @@ def _loop_offsets(cfg: OperatorConfig, half: float) -> list[float]:
     return [k * half / 2.0 for k in range(-cfg.offset_steps, cfg.offset_steps + 1)]
 
 
+@_full_rows
 def _loop_m2(f: Grid2D, omega: DirectionSet, cfg: OperatorConfig) -> np.ndarray:
     """Reference: m2 as its own loop over directions, column widths, lengths
     and offsets."""
@@ -358,6 +422,9 @@ def _loop_m2(f: Grid2D, omega: DirectionSet, cfg: OperatorConfig) -> np.ndarray:
 def operator_cases(draw, unit_radius=None, offsets=True):
     """A small sparse signed grid, a direction set and an operator config.
 
+    The support is a random scatter, a hot pixel in a corner, a block
+    touching one edge, or two blobs with zero rows between them.
+
     ``unit_radius`` True puts 1.0 in the radii, False keeps it out, None
     draws either.
     """
@@ -377,8 +444,23 @@ def operator_cases(draw, unit_radius=None, offsets=True):
         direct_nodes_cap=draw(st.sampled_from([1, 2, 5, 9, 17, 33, 129])),
     )
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    shape = (draw(st.integers(6, 18)), draw(st.integers(6, 18)))
-    values = rng.standard_normal(shape) * (rng.uniform(size=shape) < 0.3)
+    h, w = shape = (draw(st.integers(6, 18)), draw(st.integers(6, 18)))
+    support = draw(st.sampled_from(["scatter", "corner", "edge", "blobs"]))
+    values = np.zeros(shape)
+    if support == "scatter":
+        values = rng.standard_normal(shape) * (rng.uniform(size=shape) < 0.3)
+    elif support == "corner":  # one hot pixel in a corner
+        values[draw(st.sampled_from([0, h - 1])), draw(st.sampled_from([0, w - 1]))] = 1.5
+    elif support == "edge":  # a block touching one edge
+        k = draw(st.integers(1, 3))
+        block = draw(st.sampled_from(
+            [np.s_[:k, 2:], np.s_[h - k :, : w - 2], np.s_[1:, :k], np.s_[: h - 1, w - k :]]
+        ))
+        values[block] = rng.standard_normal(values[block].shape)
+    elif support == "blobs":  # two blobs with zero rows between them
+        a, b = draw(st.integers(0, h // 2 - 2)), draw(st.integers(h // 2 + 1, h - 1))
+        values[a, draw(st.integers(0, w - 1))] = -2.0
+        values[b : b + 2, :3] = rng.standard_normal((min(2, h - b), 3))
     axes = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75]), max_size=2))
     others = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=2))
     omega = DirectionSet(tuple(axes + others) or (0.0,))
@@ -386,7 +468,8 @@ def operator_cases(draw, unit_radius=None, offsets=True):
 
 
 class TestLoopReferences:
-    """The operators match their former per-operator loops bit for bit."""
+    """The operators match their former per-operator loops, run over all rows,
+    bit for bit."""
 
     @given(case=operator_cases())
     @settings(max_examples=40, deadline=None)
@@ -405,6 +488,13 @@ class TestLoopReferences:
     def test_m2_matches_loop_reference(self, case):
         f, omega, cfg = case
         assert m2(f, omega, cfg).values.tobytes() == _loop_m2(f, omega, cfg).tobytes()
+
+    @given(case=operator_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_strong_maximal_matches_loop_reference(self, case):
+        f, _omega, cfg = case
+        axes = DirectionSet((0.0, 0.25))
+        assert strong_maximal(f, cfg).values.tobytes() == _loop_m2(f, axes, cfg).tobytes()
 
 
 class TestM1:
