@@ -35,7 +35,6 @@ from .harness import (
     sweep_mu,
 )
 from .kernels import (
-    KernelSpec,
     bump_eval,
     fejer_eval,
     fejer_from_vp,

@@ -5,15 +5,14 @@ Subcommands:
   decompose      build or validate a lacunary decomposition from a slope set
   kernel-table   tabulate a kernel or its transform profile as CSV
   apply          run a maximal or smoothing operator over a grid file
-  overlap        strip-overlap maxima of a decomposition (exact sweep or sampled)
+  overlap        exact strip-overlap maxima of a decomposition, with witnesses
   check-support  band-in-strip containment report for an interval chain
   sweep          operator-norm ratio sweeps over N or mu
 
 All outputs are written atomically (temp file + rename).  Exit codes:
 0 success, 1 validation/usage failure, 2 I/O failure.  Randomness flows from
 --seed through counter-based generators, so identical invocations produce
-identical results (sweep outputs include wall-clock runtime columns, which
-are the one exception to byte-identical reruns).
+byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ import numpy as np
 from .errors import DirmaxError, InvalidArgument
 from .grid_ops import Grid2D, OperatorConfig, gamma_op, m0, m1, m2, strong_maximal
 from .harness import sweep_N, sweep_mu
-from .kernels import KernelSpec
+from .kernels import bump_eval, fejer_eval, vp_eval, vp_transform, zeta_eval
 from .lacunary import (
     DirectionSet,
     LacunaryDecomposition,
@@ -39,11 +38,7 @@ from .lacunary import (
     binary_decomposition,
     build_decomposition,
 )
-from .sectors import (
-    max_overlap_with_argmax,
-    overlap_count,
-    support_containment_check,
-)
+from .sectors import max_overlap_with_argmax, support_containment_check
 
 __all__ = ["main", "run"]
 
@@ -138,21 +133,27 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
+# --kind -> (evaluator, the flag holding its scale); each is called as fn(scale, x)
+_KERNELS = {
+    "fejer": (fejer_eval, "r"),
+    "vp": (vp_eval, "r"),
+    "vp-hat": (vp_transform, "r"),
+    "bump": (bump_eval, "h"),
+    "zeta": (zeta_eval, "r"),
+}
+
+
 def _cmd_kernel_table(args) -> int:
-    kind = {
-        "fejer": "fejer",
-        "vp": "vallee_poussin",
-        "vp-hat": "vp_hat",
-        "bump": "bump",
-        "zeta": "majorant_zeta",
-    }[args.kind]
-    spec = KernelSpec(kind, r=args.r, h=args.h)
+    if args.h <= 0:
+        raise InvalidArgument("h must be positive")
+    fn, param = _KERNELS[args.kind]
+    scale = getattr(args, param)  # the evaluator rejects a bad scale
     a, b = _parse_list(args.range, "--range", count=2)
     if args.samples < 1:
         raise InvalidArgument("--samples must be >= 1")
     # open-interval uniform sampling: n nodes strictly between the endpoints
     xs = a + (b - a) * (np.arange(1, args.samples + 1) / (args.samples + 1))
-    rows = "".join(f"{x:.12g},{spec(float(x)):.12g}\n" for x in xs)
+    rows = "".join(f"{x:.12g},{fn(scale, float(x)):.12g}\n" for x in xs)
     _write_text(args.out, "x,value\n" + rows)
     return 0
 
@@ -191,37 +192,14 @@ def _cmd_apply(args) -> int:
 
 def _cmd_overlap(args) -> int:
     decomp = LacunaryDecomposition.load(args.decomp)
-    require = not args.skip_poleless
-    if args.samples:
-        rng = np.random.Generator(np.random.Philox(key=(args.seed, 0)))
-        n_low = n_top = 0
-        arg_low = arg_top = None
-        for _ in range(args.samples):
-            x1 = 10.0 ** rng.uniform(-2, 6)
-            sigma = rng.uniform(-0.5, 1.5)
-            p = (x1, sigma * x1 + rng.uniform(-6, 6))
-            nl, nt = overlap_count(decomp, p, require_poles=require)
-            if nl > n_low:
-                n_low, arg_low = nl, p
-            if nt > n_top:
-                n_top, arg_top = nt, p
-        payload = {
-            "method": "sampled",
-            "samples": args.samples,
-            "n_low": n_low,
-            "n_top": n_top,
-            "argmax_low": arg_low,
-            "argmax_top": arg_top,
-        }
-    else:
-        nl, nt, al, at = max_overlap_with_argmax(decomp, require_poles=require)
-        payload = {
-            "method": "exact",
-            "n_low": nl,
-            "n_top": nt,
-            "argmax_low": list(al),
-            "argmax_top": list(at),
-        }
+    nl, nt, al, at = max_overlap_with_argmax(decomp, require_poles=not args.skip_poleless)
+    payload = {
+        "method": "exact",
+        "n_low": nl,
+        "n_top": nt,
+        "argmax_low": list(al),
+        "argmax_top": list(at),
+    }
     _write_text(args.out, json.dumps(payload, sort_keys=True, indent=1) + "\n")
     return 0
 
@@ -313,8 +291,6 @@ def _build_parser() -> _Parser:
 
     o = sub.add_parser("overlap", help="strip overlap maxima")
     o.add_argument("--decomp", required=True)
-    o.add_argument("--samples", type=int, default=0,
-                   help="sample this many points instead of the exact sweep")
     o.add_argument("--skip-poleless", action="store_true")
     o.add_argument("--out", default=None)
     o.set_defaults(fn=_cmd_overlap)

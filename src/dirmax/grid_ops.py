@@ -60,7 +60,7 @@ import numbers
 import os
 import struct
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -94,12 +94,11 @@ class Grid2D:
 
     ``values[i, j]`` is the sample at x = (origin[0] + j * spacing,
     origin[1] + i * spacing); the first coordinate is horizontal.  The
-    default origin centers the grid on (0, 0).
+    origin centers the grid on (0, 0).
     """
 
     values: np.ndarray
     spacing: float
-    origin: tuple[float, float] = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         v = np.asarray(self.values)
@@ -114,13 +113,10 @@ class Grid2D:
         object.__setattr__(self, "values", v)
         if not (self.spacing > 0) or not math.isfinite(self.spacing):
             raise InvalidArgument("spacing must be a positive real")
-        if self.origin is None:
-            h, w = v.shape
-            object.__setattr__(
-                self,
-                "origin",
-                (-0.5 * (w - 1) * self.spacing, -0.5 * (h - 1) * self.spacing),
-            )
+
+    @property
+    def origin(self) -> tuple[float, float]:
+        return (-0.5 * (self.width - 1) * self.spacing, -0.5 * (self.height - 1) * self.spacing)
 
     @property
     def width(self) -> int:
@@ -131,7 +127,7 @@ class Grid2D:
         return self.values.shape[0]
 
     def with_values(self, values: np.ndarray) -> "Grid2D":
-        return Grid2D(values, self.spacing, self.origin)
+        return Grid2D(values, self.spacing)
 
     def abs(self) -> "Grid2D":
         return self.with_values(np.abs(self.values))
@@ -370,13 +366,8 @@ def _avg_field_ladder(
         n_seg = _base_segments(radii[0], spu) * 2**k
         if k == 0 or n_seg + 1 <= direct_cap:
             fld = _trapezoid_field(src, e, delta, n_seg, spacing)
-        else:
-            cx, cy = delta / 2.0 * e[0] / spacing, delta / 2.0 * e[1] / spacing
-            rows = _row_band(prev)
-            fld = np.zeros_like(src)
-            _bilinear_shift_add(fld, prev, -cx, -cy, 0.5, rows)
-            _bilinear_shift_add(fld, prev, cx, cy, 0.5, rows)
-        prev = fld
+        else:  # the one-segment rule over the previous level: nodes -+ delta / 2
+            fld = _trapezoid_field(fld, e, delta / 2.0, 1, spacing)
         yield delta, fld
 
 

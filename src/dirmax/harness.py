@@ -23,8 +23,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import time
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -77,9 +75,6 @@ class TestFunctionSpec:
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise InvalidArgument(f"unknown test function kind {self.kind!r}")
-
-    def label(self) -> str:
-        return self.kind
 
 
 def _rng_for(spec_seed: int, stream: int) -> np.random.Generator:
@@ -207,12 +202,6 @@ def dedupe_angles(
 _OPS = {"m0": m0, "m1": m1, "m2": m2}
 
 
-def _apply_op(op: str, f: Grid2D, omega: DirectionSet, cfg: OperatorConfig) -> Grid2D:
-    if op not in _OPS:
-        raise InvalidArgument(f"unknown operator {op!r}")
-    return _OPS[op](f, omega, cfg)
-
-
 def measure_ratio(
     omega: DirectionSet,
     family: Sequence[TestFunctionSpec],
@@ -226,14 +215,12 @@ def measure_ratio(
     on the discrete operator norm) and the spec achieving it."""
     if not family:
         raise InvalidArgument("family must be nonempty")
+    if op not in _OPS:
+        raise InvalidArgument(f"unknown operator {op!r}")
     best, best_spec = 0.0, None
     for spec in family:
-        f = generate(spec, width, height, spacing)
-        nf = f.l2_norm()
-        if nf == 0.0:
-            warnings.warn(f"skipping zero-norm test function {spec}")
-            continue
-        ratio = _apply_op(op, f, omega, cfg).l2_norm() / nf
+        f = generate(spec, width, height, spacing)  # raises on a zero-norm f
+        ratio = _OPS[op](f, omega, cfg).l2_norm() / f.l2_norm()
         if ratio > best:
             best, best_spec = ratio, spec
     return best, best_spec
@@ -245,7 +232,6 @@ class SweepRow:
     operator: str
     max_ratio: float
     argmax_spec: Optional[TestFunctionSpec]
-    runtime_ms: int
     n_directions: int = 0
 
 
@@ -258,7 +244,7 @@ class SweepResult:
         return [(r.label, r.max_ratio) for r in self.rows if r.operator == operator]
 
     @staticmethod
-    def reference_columns(mode: str, label: float) -> dict:
+    def reference_columns(label: float) -> dict:
         logv = math.log2(max(label, 2.0))
         return {
             "ref_sqrt_log": math.sqrt(logv),
@@ -269,14 +255,14 @@ class SweepResult:
 
     def to_csv(self) -> str:
         lines = [
-            "label,operator,max_ratio,ref_sqrt_log,ref_log,ref_sqrt_mu,ref_mu,runtime_ms"
+            "label,operator,max_ratio,ref_sqrt_log,ref_log,ref_sqrt_mu,ref_mu"
         ]
         for r in self.rows:
-            ref = self.reference_columns(self.mode, r.label)
+            ref = self.reference_columns(r.label)
             lines.append(
                 f"{r.label:g},{r.operator},{r.max_ratio:.10g},"
                 f"{ref['ref_sqrt_log']:.10g},{ref['ref_log']:.10g},"
-                f"{ref['ref_sqrt_mu']:.10g},{ref['ref_mu']:.10g},{r.runtime_ms}"
+                f"{ref['ref_sqrt_mu']:.10g},{ref['ref_mu']:.10g}"
             )
         return "\n".join(lines) + "\n"
 
@@ -288,9 +274,8 @@ class SweepResult:
                     "label": r.label,
                     "operator": r.operator,
                     "max_ratio": r.max_ratio,
-                    "runtime_ms": r.runtime_ms,
                     "n_directions": r.n_directions,
-                    **self.reference_columns(self.mode, r.label),
+                    **self.reference_columns(r.label),
                 }
                 for r in self.rows
             ],
@@ -353,6 +338,25 @@ def _sweep_cfg(spacing: float, size: int) -> OperatorConfig:
     )
 
 
+def _sweep(
+    mode: str,
+    cases: Sequence[tuple[int, DirectionSet, float]],
+    family_kinds: Sequence[str],
+    ops: Sequence[str],
+    size: int,
+    seed: int,
+) -> SweepResult:
+    """One row per (label, directions, grid spacing) case and operator."""
+    rows = []
+    for label, omega, spacing in cases:
+        cfg = _sweep_cfg(spacing, size)
+        family = _default_family(family_kinds, omega.values, seed)
+        for op in ops:
+            ratio, arg = measure_ratio(omega, family, op, cfg, size, size, spacing)
+            rows.append(SweepRow(float(label), op, ratio, arg, len(omega)))
+    return SweepResult(mode, tuple(rows))
+
+
 def sweep_N(
     ns: Sequence[int],
     family_kinds: Sequence[str] = ("disk", "needles", "random"),
@@ -368,18 +372,9 @@ def sweep_N(
     """
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise InvalidArgument("direction counts must be increasing")
-    rows = []
-    for n in ns:
-        spacing = 1.0 / (8.0 * n)
-        omega = uniform_directions(n)
-        cfg = _sweep_cfg(spacing, size)
-        family = _default_family(family_kinds, omega.values, seed)
-        for op in ops:
-            t0 = time.perf_counter()
-            ratio, arg = measure_ratio(omega, family, op, cfg, size, size, spacing)
-            ms = int(1000 * (time.perf_counter() - t0))
-            rows.append(SweepRow(float(n), op, ratio, arg, ms, len(omega)))
-    return SweepResult("N", tuple(rows))
+    omegas = [uniform_directions(n) for n in ns]  # rejects n < 1 before 1 / (8n)
+    cases = [(n, omega, 1.0 / (8.0 * n)) for n, omega in zip(ns, omegas)]
+    return _sweep("N", cases, family_kinds, ops, size, seed)
 
 
 def sweep_mu(
@@ -388,40 +383,30 @@ def sweep_mu(
     ops: Sequence[str] = ("m1",),
     size: int = 512,
     seed: int = 0,
-    depth: int = 2,
 ) -> SweepResult:
     """Measure norm-ratio growth over staged complete lacunary slope sets.
 
     Directions are the slopes of the order-mu construction converted to
     angles and thinned to the grid's angular resolution; the thinned families
     are nested across mu so ratios are monotone.  The construction has gap
-    1/2 (see staged_lacunary_directions).
-
-    ``depth`` = 2 keeps the construction's stage structure resolvable: a grid
-    of side n distinguishes only ~n/4 directions over its own extent, and
-    deeper completions merely add sub-resolution duplicates that flatten the
-    measured ratios while sqrt(mu) keeps growing.
+    1/2 (see staged_lacunary_directions) and depth 2, which keeps its stage
+    structure resolvable: a grid of side n distinguishes only ~n/4 directions
+    over its own extent, and deeper completions merely add sub-resolution
+    duplicates that flatten the measured ratios while sqrt(mu) keeps growing.
     """
     if any(b <= a for a, b in zip(mus, mus[1:])):
         raise InvalidArgument("orders must be increasing")
-    rows = []
     size = int(size)
     spacing = 4.0 / size
-    cfg = _sweep_cfg(spacing, size)
     resolution = spacing / (4.0 * (size * spacing) / 2.0)
     kept: tuple[float, ...] = ()
+    cases = []
     for mu in mus:
-        decomp = staged_lacunary_directions(mu, depth=depth)
+        decomp = staged_lacunary_directions(mu, depth=2)
         angles = DirectionSet.from_slopes(decomp.final_set).values
         kept = dedupe_angles(angles, resolution, keep=kept)
-        omega = DirectionSet(kept)
-        family = _default_family(family_kinds, omega.values, seed)
-        for op in ops:
-            t0 = time.perf_counter()
-            ratio, arg = measure_ratio(omega, family, op, cfg, size, size, spacing)
-            ms = int(1000 * (time.perf_counter() - t0))
-            rows.append(SweepRow(float(mu), op, ratio, arg, ms, len(omega)))
-    return SweepResult("mu", tuple(rows))
+        cases.append((mu, DirectionSet(kept), spacing))
+    return _sweep("mu", cases, family_kinds, ops, size, seed)
 
 
 _MODELS = {

@@ -34,13 +34,12 @@ All evaluators are pure and stateless, safe for unrestricted concurrent use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import InvalidArgument
 
 __all__ = [
-    "KernelSpec",
     "fejer_eval",
     "vp_eval",
     "vp_transform",
@@ -172,33 +171,3 @@ def zeta_l1_norm(r: float) -> float:
     """
     r = _check_r(r)
     return 16.0 / (r * 2.0 ** _zeta_kmin(r))
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """Parameters naming one kernel evaluator, mainly for the CLI table tool."""
-
-    kind: str  # fejer | vallee_poussin | vp_hat | bump | majorant_zeta
-    r: float = 1.0
-    h: float = 1.0
-
-    _KINDS = ("fejer", "vallee_poussin", "vp_hat", "bump", "majorant_zeta")
-
-    def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise InvalidArgument(f"unknown kernel kind {self.kind!r}")
-        if self.kind != "bump":
-            _check_r(self.r)
-        if self.h <= 0:
-            raise InvalidArgument("h must be positive")
-
-    def __call__(self, x):
-        if self.kind == "fejer":
-            return fejer_eval(self.r, x)
-        if self.kind == "vallee_poussin":
-            return vp_eval(self.r, x)
-        if self.kind == "vp_hat":
-            return vp_transform(self.r, x)
-        if self.kind == "bump":
-            return bump_eval(self.h, x)
-        return zeta_eval(self.r, x)

@@ -123,6 +123,11 @@ def perpendicular(directions: DirectionSet) -> DirectionSet:
 # ---------------------------------------------------------------------------
 
 
+def _check_gap(gap: float) -> None:
+    if not (0.0 < gap < 1.0):
+        raise InvalidArgument(f"gap must lie in (0, 1), got {gap}")
+
+
 def check_lacunary(points: Sequence[float], pole: float, gap: float) -> bool:
     """True iff |v_{i+1} - pole| < gap * |v_i - pole| for every consecutive pair.
 
@@ -136,8 +141,7 @@ def check_lacunary(points: Sequence[float], pole: float, gap: float) -> bool:
         raise InvalidArgument("points must be nonempty")
     if not math.isfinite(pole):
         raise InvalidArgument("pole must be finite")
-    if not (0.0 < gap < 1.0) or not math.isfinite(gap):
-        raise InvalidArgument(f"gap must lie in (0, 1), got {gap}")
+    _check_gap(gap)
     for u, w in zip(pts, pts[1:]):
         if not abs(w - pole) < gap * abs(u - pole):
             return False
@@ -185,8 +189,7 @@ def infer_pole(
     sub-sequence must keep its pole inside a containing gap.
     """
     pts = _as_floats(points)
-    if not (0.0 < gap < 1.0):
-        raise InvalidArgument(f"gap must lie in (0, 1), got {gap}")
+    _check_gap(gap)
     if not pts:
         raise InvalidArgument("points must be nonempty")
     if len(pts) == 1:
@@ -377,6 +380,7 @@ class LacunaryDecomposition:
             raise InvalidArgument(f"decomposition JSON lacks the key {exc}") from None
         except (AttributeError, IndexError, OverflowError, TypeError, ValueError) as exc:
             raise InvalidArgument(f"malformed decomposition JSON: {exc}") from None
+        _check_gap(gap)
         _check_rank_arrays(chain, domain, lo, hi, rank, pole, poles)
         return LacunaryDecomposition(chain, gap, lo, hi, rank.astype(np.int64), pole, domain, poles)
 
@@ -667,8 +671,7 @@ def build_decomposition(
     ``infer_pole``); rank intervals are populated and each one of rank
     <= mu-1 receives the first pole that appeared inside it.
     """
-    if not (0.0 < gap < 1.0):
-        raise InvalidArgument(f"gap must lie in (0, 1), got {gap}")
+    _check_gap(gap)
     sets = [tuple(sorted(set(_as_floats(s)))) for s in chain]
     if not sets or not sets[0]:
         raise InvalidArgument("chain must contain at least one nonempty set")
@@ -710,6 +713,7 @@ def binary_decomposition(
     one-point lacunary sequence.  The resulting order is at most
     floor(log2 N) + 2 for N points.
     """
+    _check_gap(gap)
     pts = sorted(set(_as_floats(points)))
     if not pts:
         raise InvalidArgument("points must be nonempty")
@@ -831,8 +835,7 @@ def substage_count(gap: float) -> int:
 
     1 for gap <= 1/2, otherwise ceil(1 / log2(1/gap)).
     """
-    if not (0.0 < gap < 1.0):
-        raise InvalidArgument(f"gap must lie in (0, 1), got {gap}")
+    _check_gap(gap)
     if gap <= 0.5:
         return 1
     return math.ceil(1.0 / math.log2(1.0 / gap))

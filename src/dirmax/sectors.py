@@ -437,6 +437,8 @@ def support_containment_check(
     """
     if not chain:
         raise InvalidArgument("chain must be nonempty")
+    if not (R > 0 and math.isfinite(R)):
+        raise InvalidArgument(f"R must be a positive real, got {R}")
     validate_pole_gap_chain(chain)
     n = len(chain)
     if not (chain[0].lo <= theta <= chain[0].hi):
@@ -502,7 +504,6 @@ def domination_ratio(
     r: float,
     h: float,
     cfg: OperatorConfig,
-    check_truncation: bool = True,
     interior_margin: float = 0.0,
 ) -> float:
     """Empirical constant in |Gamma_{alpha,r,h} f| <= C (h r |a-b| + 1) M_b M_perp f.
@@ -521,7 +522,7 @@ def domination_ratio(
     if not (0.0 < alpha < 1.0 and 0.0 < beta < 1.0):
         raise InvalidArgument("alpha and beta must lie in (0, 1)")
     fa = f.abs()
-    num = np.abs(gamma_op(fa, alpha, r, h, check_truncation=check_truncation).values)
+    num = np.abs(gamma_op(fa, alpha, r, h).values)
     den = (h * r * abs(alpha - beta) + 1.0) * iterated_maximal(fa, beta, cfg).values
     if interior_margin > 0.0:
         keep = f.interior_mask(interior_margin)
@@ -550,7 +551,6 @@ def strip_decomposition_report(
     R: float,
     cfg: OperatorConfig,
     h: float = 0.25,
-    check_truncation: bool = False,
 ) -> DominationReport:
     """Pointwise ratio of the smoothed operator to its strip-multiplier bound.
 
@@ -560,14 +560,15 @@ def strip_decomposition_report(
     The bound hides an absolute constant, so the ratio is reported, not
     asserted against a fixed number.  ``h`` rescales the bump; the operator
     family is scaling invariant in h, and moderate h keeps the sampled
-    kernel's mass inside the grid.
+    kernel's mass inside the grid.  The left side skips ``gamma_op``'s
+    truncation guard: the report is a diagnostic, not a certified bound.
     """
     validate_pole_gap_chain(chain)
     n = len(chain)
     if not (chain[-1].lo <= theta <= chain[-1].hi):
         raise InvalidArgument("theta must lie in the innermost interval")
     fa = f.abs()
-    lhs = np.abs(gamma_op(fa, theta, R, h, check_truncation=check_truncation).values)
+    lhs = np.abs(gamma_op(fa, theta, R, h, check_truncation=False).values)
     rhs = strong_maximal(fa, cfg).values.copy()
     last = chain[-1]
     c_theta = float(

@@ -191,7 +191,7 @@ class TestSweeps:
         res = sweep_N([4], family_kinds=("disk",), ops=("m1",), size=64)
         head = res.to_csv().splitlines()[0]
         assert head == (
-            "label,operator,max_ratio,ref_sqrt_log,ref_log,ref_sqrt_mu,ref_mu,runtime_ms"
+            "label,operator,max_ratio,ref_sqrt_log,ref_log,ref_sqrt_mu,ref_mu"
         )
 
     def test_identity_domination_and_crude_upper_bound(self):
