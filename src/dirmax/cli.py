@@ -35,6 +35,7 @@ from .lacunary import (
     DirectionSet,
     LacunaryDecomposition,
     RankInterval,
+    _read_json,
     binary_decomposition,
     build_decomposition,
 )
@@ -73,14 +74,6 @@ def _write_text(path: Optional[str], text: str) -> None:
         _atomic_write(path, lambda tmp: Path(tmp).write_bytes(text.encode()))
 
 
-def _load_json(path: str):
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise InvalidArgument(f"{path}: not valid JSON ({exc})") from None
-
-
 def _numbers(data, what: str) -> list[float]:
     """The JSON array ``data`` as floats; InvalidArgument naming ``what`` if not."""
     if isinstance(data, list):
@@ -116,9 +109,11 @@ def _load_grid(path: str, spacing: Optional[float]) -> Grid2D:
 
 
 def _cmd_decompose(args) -> int:
-    data = _load_json(args.input)
+    data = _read_json(args.input)
     domain = tuple(_parse_list(args.domain, "--domain", count=2)) if args.domain else None
     if args.mode == "binary":
+        if domain is not None:
+            raise InvalidArgument("--domain applies to chain mode only")
         decomp = binary_decomposition(_numbers(data, "binary mode input"), gap=args.gap)
     else:
         if isinstance(data, dict):
@@ -184,7 +179,7 @@ def _cmd_apply(args) -> int:
         else:
             if not args.directions:
                 raise InvalidArgument(f"{args.op} needs --directions")
-            omega = DirectionSet.from_json(_load_json(args.directions))
+            omega = DirectionSet.from_json(_read_json(args.directions))
             out = {"m0": m0, "m1": m1, "m2": m2}[args.op](f, omega, cfg)
     _atomic_write(args.out, out.save)
     return 0
@@ -205,7 +200,7 @@ def _cmd_overlap(args) -> int:
 
 
 def _cmd_check_support(args) -> int:
-    data = _load_json(args.chain)
+    data = _read_json(args.chain)
     try:
         rows = [(d["lo"], d["hi"], d.get("pole")) for d in data]
     except (AttributeError, KeyError, TypeError) as exc:

@@ -209,11 +209,8 @@ def infer_pole(
     if not (inc or dec):
         raise InvalidArgument("points must be strictly monotone")
     last = pts[-1]
-    bounds = [(w - gap * u) / (1.0 - gap) for u, w in zip(pts, pts[1:])]
-    if dec:
-        lo, hi = max(bounds), last  # feasible poles: (lo, hi]
-    else:
-        lo, hi = last, min(bounds)  # feasible poles: [lo, hi)
+    flo, fhi = _feasible_pole_interval(pts, gap)
+    lo, hi = (flo, last) if dec else (last, fhi)  # feasible poles: (lo, hi] or [lo, hi)
     if within is not None:
         lo, hi = max(lo, float(within[0])), min(hi, float(within[1]))
     if lo > hi:
@@ -319,6 +316,8 @@ class LacunaryDecomposition:
 
     ``poles`` lists every pole used in the construction (one or two per
     inserted group), whether or not it ended up tagging a rank interval.
+    ``groups`` records the builder's stage groups (none after ``from_json``);
+    no operation reads them, since completion re-derives them from the chain.
     """
 
     chain: tuple[tuple[float, ...], ...]
@@ -369,9 +368,11 @@ class LacunaryDecomposition:
     @staticmethod
     def from_json(data: dict) -> "LacunaryDecomposition":
         try:
-            chain = tuple(tuple(sorted(float(v) for v in s)) for s in data["chain"])
+            chain = [[float(v) for v in s] for s in data["chain"]]
             lo, hi, rank, pole = _rank_columns(data["rank_intervals"])
-            domain = _as_floats(data.get("domain", (chain[-1][0], chain[-1][-1])))
+            domain = _as_floats(
+                data["domain"] if "domain" in data else (min(chain[-1]), max(chain[-1]))
+            )
             if len(domain) != 2 or not domain[0] < domain[1]:
                 raise ValueError(f"domain {list(domain)} is not [lo, hi] with lo < hi")
             poles = _as_floats(data.get("poles", np.unique(pole[~np.isnan(pole)])))
@@ -381,7 +382,9 @@ class LacunaryDecomposition:
         except (AttributeError, IndexError, OverflowError, TypeError, ValueError) as exc:
             raise InvalidArgument(f"malformed decomposition JSON: {exc}") from None
         _check_gap(gap)
-        _check_rank_arrays(chain, domain, lo, hi, rank, pole, poles)
+        sets, domain = _check_chain(chain, domain)
+        _check_rank_arrays(sets, domain, lo, hi, rank, pole, poles)
+        chain = tuple(tuple(s.tolist()) for s in sets)
         return LacunaryDecomposition(chain, gap, lo, hi, rank.astype(np.int64), pole, domain, poles)
 
     def save(self, path) -> None:
@@ -390,12 +393,16 @@ class LacunaryDecomposition:
 
     @staticmethod
     def load(path) -> "LacunaryDecomposition":
-        with open(path) as fh:
-            try:
-                data = json.load(fh)
-            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-                raise InvalidArgument(f"{path}: not valid JSON ({exc})") from None
-        return LacunaryDecomposition.from_json(data)
+        return LacunaryDecomposition.from_json(_read_json(path))
+
+
+def _read_json(path):
+    """The JSON value stored in the file at ``path``; InvalidArgument if it is not JSON."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise InvalidArgument(f"{path}: not valid JSON ({exc})") from None
 
 
 @dataclass(frozen=True)
@@ -485,6 +492,48 @@ def _gaps(points: Sequence[float], domain: tuple[float, float]) -> tuple[np.ndar
     return lo[nonempty], hi[nonempty]
 
 
+def _split_by_gaps(
+    points: np.ndarray, current: np.ndarray, domain: tuple[float, float]
+) -> tuple[list[tuple[float, float, list[float]]], list[float]]:
+    """The sorted ``points`` split by the gaps of the sorted set ``current``.
+
+    Returns ``(lo, hi, pts)`` for each gap holding some of the points, left
+    to right, and the points strictly inside no gap: those on the domain's
+    boundary or on the set.
+    """
+    lo, hi = _gaps(current, domain)
+    i = np.searchsorted(lo, points, side="right") - 1
+    inside = (i >= 0) & (lo[i] < points) & (points < hi[i])
+    gap, start = np.unique(i[inside], return_index=True)
+    pts = np.split(points[inside], start[1:])
+    split = [(a, b, p.tolist()) for a, b, p in zip(lo[gap].tolist(), hi[gap].tolist(), pts)]
+    return split, points[~inside].tolist()
+
+
+def _check_chain(
+    chain: Iterable[Iterable[float]], domain: Optional[Sequence[float]] = None
+) -> tuple[list[np.ndarray], tuple[float, float]]:
+    """The chain's sets as sorted, unique arrays, and the domain holding them.
+
+    InvalidArgument unless every value is finite and inside the closed
+    domain, the first set is nonempty and each set contains the one before
+    it; containment is checked before nesting.  The default domain spans the
+    final set, widened by 1/2 on each side when that set is a single point.
+    """
+    sets = [np.unique(np.fromiter(s, dtype=float)) for s in chain]
+    if not sets or not sets[0].size:
+        raise InvalidArgument("chain must contain at least one nonempty set")
+    if domain is None:
+        lo, hi = _as_floats(sets[-1][[0, -1]])  # NaN sorts last
+        domain = (lo - 0.5, hi + 0.5) if lo == hi else (lo, hi)
+    domain = _check_domain(domain)
+    _check_inside(np.concatenate(sets), domain)
+    for k in range(1, len(sets)):
+        if not np.isin(sets[k - 1], sets[k], assume_unique=True).all():
+            raise InvalidArgument(f"chain is not nested at stage {k}")
+    return sets, domain
+
+
 # ---------------------------------------------------------------------------
 # decomposition assembly (shared by the builders)
 # ---------------------------------------------------------------------------
@@ -515,13 +564,10 @@ def _check_rank_arrays(chain, domain, lo, hi, rank, pole, poles) -> None:
 
     Ranks run 1..mu in order, rank k holds exactly the nonempty gaps of
     chain set k in the domain, left to right, no top-rank interval carries a
-    pole tag, and every pole tag is one of ``poles``.
+    pole tag, and every pole tag is one of ``poles``.  The chain has passed
+    ``_check_chain``.
     """
-    if not chain:
-        raise InvalidArgument("a decomposition needs at least one chain set")
-    sets = [np.asarray(s, dtype=float) for s in chain]
-    _check_inside(np.concatenate(sets), domain)
-    gaps = [_gaps(s, domain) for s in sets]
+    gaps = [_gaps(s, domain) for s in chain]
     want_rank = np.repeat(np.arange(1, len(chain) + 1), [len(g[0]) for g in gaps])
     if not np.array_equal(rank, want_rank):
         raise InvalidArgument(
@@ -589,42 +635,6 @@ def _assemble(
     return LacunaryDecomposition(tuple(chain), gap, *arrays, domain, poles, tuple(groups))
 
 
-def _split_groups_for_stage(
-    added: Sequence[float],
-    prev_set: Sequence[float],
-    domain: tuple[float, float],
-    gap: float,
-    stage: int,
-) -> list[_StageGroup]:
-    """Partition a stage's new points by adjacent interval and infer poles.
-
-    Each per-interval group must admit a pole: first as a one-sided monotone
-    sequence, then (for interior poles) as a two-sided pair about a common
-    pole found by scanning split positions.
-    """
-    out: list[_StageGroup] = []
-    gaps = adjacent_intervals(prev_set, domain)
-    for lo, hi in gaps:
-        pts = sorted(p for p in added if lo < p < hi)
-        if not pts:
-            continue
-        group = _infer_group(pts, (lo, hi), gap, stage)
-        if group is None:
-            raise ValidationFailure(
-                f"stage {stage}: points in interval ({lo:.6g}, {hi:.6g}) admit no "
-                f"{gap}-lacunary pole"
-            )
-        out.extend(group)
-    placed = {p for g in out for p in g.points}
-    stray = [p for p in added if p not in placed]
-    if stray:
-        raise InvalidArgument(
-            f"stage {stage}: added points {stray} fall on stage boundaries or "
-            "outside the domain"
-        )
-    return out
-
-
 def _infer_group(
     pts: list[float],
     interval: tuple[float, float],
@@ -672,30 +682,27 @@ def build_decomposition(
     <= mu-1 receives the first pole that appeared inside it.
     """
     _check_gap(gap)
-    sets = [tuple(sorted(set(_as_floats(s)))) for s in chain]
-    if not sets or not sets[0]:
-        raise InvalidArgument("chain must contain at least one nonempty set")
-    for k in range(len(sets) - 1):
-        if not set(sets[k]) <= set(sets[k + 1]):
-            raise InvalidArgument(f"chain is not nested at stage {k + 1}")
-    if domain is None:
-        lo, hi = sets[-1][0], sets[-1][-1]
-        if lo == hi:
-            lo, hi = lo - 0.5, hi + 0.5
-        domain = (lo, hi)
-    domain = _check_domain(domain)
-    _check_inside(sets[-1], domain)  # the chain is nested: the final set holds all
-
-    groups: list[_StageGroup] = []
-    seed = sets[0]
-    seed_group = _infer_group(list(seed), domain, gap, stage=1)
-    if seed_group is None:
+    sets, domain = _check_chain(chain, domain)
+    groups = _infer_group(sets[0].tolist(), domain, gap, stage=1)
+    if groups is None:
         raise ValidationFailure("stage 1 set admits no lacunary pole")
-    groups.extend(seed_group)
-    for k in range(1, len(sets)):
-        added = sorted(set(sets[k]) - set(sets[k - 1]))
-        groups.extend(_split_groups_for_stage(added, sets[k - 1], domain, gap, k + 1))
-    return _assemble(sets, gap, domain, groups)
+    for stage in range(2, len(sets) + 1):
+        added = np.setdiff1d(sets[stage - 1], sets[stage - 2], assume_unique=True)
+        split, stray = _split_by_gaps(added, sets[stage - 2], domain)
+        for lo, hi, pts in split:
+            group = _infer_group(pts, (lo, hi), gap, stage)
+            if group is None:
+                raise ValidationFailure(
+                    f"stage {stage}: points in interval ({lo:.6g}, {hi:.6g}) admit no "
+                    f"{gap}-lacunary pole"
+                )
+            groups.extend(group)
+        if stray:
+            raise InvalidArgument(
+                f"stage {stage}: added points {stray} fall on stage boundaries or "
+                "outside the domain"
+            )
+    return _assemble([tuple(s.tolist()) for s in sets], gap, domain, groups)
 
 
 # ---------------------------------------------------------------------------
@@ -825,7 +832,8 @@ def complete_one_sided(
     cap = (b - seq.pole) if above else (seq.pole - a)
     dist = _complete_distances(d, cap)
     sign = 1.0 if above else -1.0
-    points = tuple(seq.pole + sign * x for x in dist)
+    given = dict(zip(d, pts))  # keep the input points exactly, build only the bridges
+    points = tuple(given.get(x, seq.pole + sign * x) for x in dist)
     side = "one-side-decreasing" if above else "one-side-increasing"
     return CompleteLacunarySpec((a, b), seq.pole, side, points)
 
@@ -841,34 +849,6 @@ def substage_count(gap: float) -> int:
     return math.ceil(1.0 / math.log2(1.0 / gap))
 
 
-def _complete_group_in_interval(
-    pts: list[float],
-    interval: tuple[float, float],
-    gap: float,
-    stage: int,
-) -> list[_StageGroup]:
-    """Complete the restriction of an added sequence inside one gap.
-
-    Restrictions of gap-lacunary sequences stay lacunary with the same gap
-    about a pole in the closed gap, and moving the pole toward the points
-    only shrinks the ratios, so an effective gap of min(gap, 1/2) is always
-    feasible here once gaps > 1/2 have been reindexed away.
-    """
-    lo, hi = interval
-    eff = min(gap, 0.5)
-    sub = _infer_group(pts, interval, eff, stage, exclude_points=True)
-    if sub is None:
-        raise ValidationFailure(
-            f"stage {stage}: restriction to ({lo:.6g}, {hi:.6g}) admits no pole"
-        )
-    out = []
-    for g in sub:
-        seq = LacunarySequence(g.points, g.pole, eff)
-        spec = complete_one_sided(seq, interval)
-        out.append(_StageGroup(stage, g.pole, spec.points))
-    return out
-
-
 def complete_decomposition(decomp: LacunaryDecomposition) -> LacunaryDecomposition:
     """Embed a decomposition into a complete one containing its final set.
 
@@ -879,50 +859,45 @@ def complete_decomposition(decomp: LacunaryDecomposition) -> LacunaryDecompositi
     """
     if len(decomp.final_set) == 1:
         return decomp
-    lam = decomp.gap
+    lam, domain = decomp.gap, decomp.domain
     n_sub = substage_count(lam)
-    domain = decomp.domain
-    if not decomp.groups:
-        # e.g. loaded from JSON: recover stage groups by re-validating the chain
-        decomp = build_decomposition(decomp.chain, lam, domain)
-    groups_by_stage: dict[int, list[_StageGroup]] = {}
-    for g in decomp.groups:
-        groups_by_stage.setdefault(g.stage, []).append(g)
+    # Restrictions of gap-lacunary sequences stay lacunary with the same gap
+    # about a pole in the closed gap, and moving the pole toward the points
+    # only shrinks the ratios, so an effective gap of min(gap, 1/2) is always
+    # feasible once gaps > 1/2 have been reindexed away.
+    eff = min(lam, 0.5)
+    batches: list[list[float]] = [[] for _ in range(decomp.order * n_sub)]
+    for g in build_decomposition(decomp.chain, lam, domain).groups:
+        for i in range(n_sub):
+            batches[(g.stage - 1) * n_sub + i].extend(g.points[i::n_sub])
 
     new_chain: list[tuple[float, ...]] = []
     new_groups: list[_StageGroup] = []
-    current: set[float] = set()
-    stage_out = 0
-    for stage in range(1, decomp.order + 1):
-        batches: list[list[float]] = [[] for _ in range(n_sub)]
-        for g in groups_by_stage.get(stage, []):
-            for i in range(n_sub):
-                batches[i].extend(g.points[i::n_sub])
-        for batch in batches:
-            pending = sorted(set(batch) - current)
-            # Points sitting exactly on the domain boundary are anchors: they
-            # bound the adjacent intervals and need no completion of their own.
-            anchors = [p for p in pending if p in (domain[0], domain[1])]
-            current.update(anchors)
-            pending = [p for p in pending if p not in anchors]
-            if not pending and stage_out > 0:
-                continue
-            stage_out += 1
-            added_groups: list[_StageGroup] = []
-            for lo, hi in adjacent_intervals(sorted(current), domain):
-                pts = [p for p in pending if lo < p < hi]
-                if not pts:
-                    continue
-                added_groups.extend(
-                    _complete_group_in_interval(pts, (lo, hi), lam, stage_out)
+    current = np.empty(0)
+    for batch in batches:
+        pending = np.setdiff1d(batch, current)
+        # Points exactly on the domain boundary are anchors: they bound the
+        # adjacent intervals, split none and need no completion of their own.
+        split, anchors = _split_by_gaps(pending, current, domain)
+        added = [anchors]
+        stage = len(new_chain) + 1
+        for lo, hi, pts in split:
+            sub = _infer_group(pts, (lo, hi), eff, stage, exclude_points=True)
+            if sub is None:
+                raise ValidationFailure(
+                    f"stage {stage}: restriction to ({lo:.6g}, {hi:.6g}) admits no pole"
                 )
-            for g in added_groups:
-                current.update(g.points)
-            new_groups.extend(added_groups)
-            new_chain.append(tuple(sorted(current)))
+            for g in sub:
+                spec = complete_one_sided(LacunarySequence(g.points, g.pole, eff), (lo, hi))
+                new_groups.append(_StageGroup(stage, g.pole, spec.points))
+                added.append(spec.points)
+        current = np.unique(np.concatenate([current, *added]))
+        if split or not new_chain:
+            new_chain.append(tuple(current.tolist()))
+    new_chain[-1] = tuple(current.tolist())  # with the anchors of skipped batches
     if not set(decomp.final_set) <= set(new_chain[-1]):
         raise ValidationFailure("completion lost input points")
-    return _assemble(new_chain, min(lam, 0.5), domain, new_groups)
+    return _assemble(new_chain, eff, domain, new_groups)
 
 
 # ---------------------------------------------------------------------------

@@ -160,7 +160,8 @@ def _strip_arrays(decomp: LacunaryDecomposition, require_poles: bool):
         raise InvalidArgument(
             f"rank-{rank[j]} interval ({lo[j]}, {hi[j]}) has no pole; "
             "overlap needs a complete decomposition "
-            "(or pass require_poles=False to skip such intervals)"
+            "(to skip such intervals, pass require_poles=False, or --skip-poleless to "
+            "dirmax overlap)"
         )
     low &= ~poleless
     poles = np.sort(np.asarray(decomp.poles, dtype=float))

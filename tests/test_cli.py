@@ -183,7 +183,10 @@ class TestExitCodes:
              "gap must lie in (0, 1), got 1.5"),
             (["decompose", "--mode", "binary", "--input", "DIRS", "--gap", "-1"],
              "gap must lie in (0, 1), got -1.0"),
+            (["decompose", "--mode", "binary", "--input", "DIRS", "--domain", "5,9"],
+             "--domain applies to chain mode only"),
             (["overlap", "--decomp", "DECOMP_GAP_1.5"], "gap must lie in (0, 1), got 1.5"),
+            (["overlap", "--decomp", "DECOMP_NOT_NESTED"], "chain is not nested at stage 1"),
             (["kernel-table", "--kind", "fejer", "--r", "0", "--range", "0,1",
               "--samples", "2"], "r must be a positive real, got 0.0"),
             (["apply", "--op", "m1", "--grid", "GRID"], "m1 needs --directions"),
@@ -198,7 +201,8 @@ class TestExitCodes:
             (["sweep", "--mode", "N", "--values", "0", "--ops", "m1", "--family", "disk",
               "--size", "32"], "n must be >= 1"),
         ],
-        ids=["binary-gap-above-one", "binary-gap-negative", "decomposition-gap",
+        ids=["binary-gap-above-one", "binary-gap-negative", "binary-domain",
+             "decomposition-gap", "decomposition-not-nested",
              "kernel-r-zero", "apply-no-directions", "support-R-zero",
              "support-R-negative", "support-R-nan", "support-R-inf", "sweep-n-zero"],
     )
@@ -213,8 +217,14 @@ class TestExitCodes:
         decomp["gap"] = 1.5
         bad_decomp = tmp_path / "d.json"
         bad_decomp.write_text(json.dumps(decomp))
+        # the chain {0.5} then {0.3}, with the rank intervals of each set
+        not_nested = tmp_path / "not-nested.json"
+        not_nested.write_text(json.dumps({"gap": 0.5, "chain": [[0.5], [0.3]], "rank_intervals": [
+            {"lo": 0.0, "hi": 0.5, "rank": 1}, {"lo": 0.5, "hi": 1.0, "rank": 1},
+            {"lo": 0.0, "hi": 0.3, "rank": 2}, {"lo": 0.3, "hi": 1.0, "rank": 2},
+        ], "domain": [0.0, 1.0]}))
         files = {"DIRS": dirs_file, "GRID": grid_file, "CHAIN": chain,
-                 "DECOMP_GAP_1.5": bad_decomp}
+                 "DECOMP_GAP_1.5": bad_decomp, "DECOMP_NOT_NESTED": not_nested}
         out = tmp_path / "out"
         argv = [str(files.get(a, a)) for a in argv] + ["--out", str(out)]
         assert run(argv) == 1

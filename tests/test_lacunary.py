@@ -19,6 +19,7 @@ from dirmax.lacunary import (
     RATIO_LO,
     RankInterval,
     _assemble,
+    _split_by_gaps,
     _StageGroup,
     adjacent_intervals,
     binary_decomposition,
@@ -331,6 +332,56 @@ class TestCompleteDecomposition:
             assert all(RATIO_LO <= y / x < RATIO_HI for x, y in zip(dd, dd[1:]))
 
 
+def _completion_corpus():
+    """Name -> zero-argument builder of a decomposition to complete."""
+    out = {}
+    for seed in range(5):
+        for mu in (1, 2, 3):
+            for depth in (1, 2):
+                for fill in (1.0, 0.35):
+                    out[f"random-{seed}-mu{mu}-depth{depth}-fill{fill}"] = (
+                        lambda s=seed, m=mu, d=depth, f=fill: random_complete_decomposition(
+                            np.random.default_rng(s), m, d, fill_probability=f
+                        )
+                    )
+    for mu in (1, 2, 3):
+        out[f"staged-mu{mu}"] = lambda mu=mu: staged_lacunary_directions(mu, depth=2)
+    for gap in (0.3, 0.5, 0.8):
+        for n in (2, 3, 7, 60, 200):
+            out[f"binary-{n}-gap{gap}"] = lambda n=n, g=gap: binary_decomposition(
+                np.random.default_rng(n).uniform(0, 1, n), g
+            )
+        out[f"binary-0.4-0.6-gap{gap}"] = lambda g=gap: binary_decomposition([0.4, 0.6], g)
+    chains = {
+        "dyadic": ([tuple(2.0**-k for k in range(11))], 0.5, (0.0, 2.0)),
+        "two-stage": ([[0.03125, 1], [0.03125, 0.0625, 0.125, 0.25, 0.5, 1]], 0.5, None),
+        "three-stage": ([[0, 1], [0, 0.5, 1], [0, 0.25, 0.5, 0.75, 1]], 0.5, None),
+        "wide-gap": ([[0.0, 1.0], [0.0, 0.7, 1.0]], 0.8, None),
+        "anchors-only": ([[0.4, 0.6]], 0.9, None),
+    }
+    for name, args in chains.items():
+        out[f"chain-{name}"] = lambda args=args: build_decomposition(*args)
+    return out
+
+
+COMPLETION_CORPUS = _completion_corpus()
+
+
+class TestCompletionPaths:
+    @pytest.mark.parametrize("name", COMPLETION_CORPUS)
+    def test_in_memory_and_loaded_complete_alike(self, name):
+        d = COMPLETION_CORPUS[name]()
+        loaded = LacunaryDecomposition.from_json(json.loads(json.dumps(d.to_json())))
+        got = complete_decomposition(d)
+        assert json.dumps(got.to_json()) == json.dumps(complete_decomposition(loaded).to_json())
+        assert set(d.final_set) <= set(got.final_set)
+
+    @pytest.mark.xfail(strict=True, raises=ValidationFailure,
+                       reason="a pole 1e-9 |J| from a point: bridging loses precision")
+    def test_pole_next_to_a_point(self):
+        complete_decomposition(random_complete_decomposition(np.random.default_rng(38), 4, 2))
+
+
 class TestRandomComplete:
     def test_all_low_rank_intervals_poled(self):
         rng = np.random.default_rng(0)
@@ -603,6 +654,14 @@ class TestRankArrays:
         with pytest.raises(InvalidArgument, match=message):
             LacunaryDecomposition.from_json(data)
 
+    def test_from_json_rejects_non_nested_chain(self):
+        chain = [[0.5], [0.3]]
+        rows = [{"lo": lo, "hi": hi, "rank": k, "pole": None}
+                for k, s in enumerate(chain, 1) for lo, hi in adjacent_intervals(s, (0, 1))]
+        data = {"gap": 0.5, "chain": chain, "rank_intervals": rows, "domain": [0, 1]}
+        with pytest.raises(InvalidArgument, match="chain is not nested at stage 1"):
+            LacunaryDecomposition.from_json(data)
+
     def test_from_json_rejects_chain_outside_domain(self):
         data = REFERENCE_CORPUS["random-mu2-depth1-fill1.0"]().to_json()
         data["chain"][0].append(1.5)
@@ -633,6 +692,32 @@ class TestRankArrays:
         del data["poles"]
         tags = {j.pole for j in d.rank_intervals if j.pole is not None}
         assert LacunaryDecomposition.from_json(data).poles == tuple(sorted(tags))
+
+
+def _split_by_gaps_loop(points, current, domain):
+    """The per-gap rescan that the single searchsorted replaced: the slow reference."""
+    split = []
+    for lo, hi in adjacent_intervals(current, domain):
+        pts = sorted(p for p in points if lo < p < hi)
+        if pts:
+            split.append((lo, hi, pts))
+    placed = {p for _, _, pts in split for p in pts}
+    return split, [p for p in points if p not in placed]
+
+
+class TestSplitByGaps:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_per_gap_scan(self, seed):
+        rng = np.random.default_rng(seed)
+        domain = (-1.0, 2.0)
+        grid = rng.uniform(*domain, 12)
+        pool = np.concatenate((grid, domain))  # boundary points in the draws
+        current = np.unique(rng.choice(pool, int(rng.integers(0, 8))))
+        points = np.unique(np.concatenate((
+            rng.choice(pool, int(rng.integers(0, 10))), rng.uniform(*domain, 5)
+        )))
+        got = _split_by_gaps(points, current, domain)
+        assert got == _split_by_gaps_loop(points.tolist(), current.tolist(), domain)
 
 
 class TestPerpendicular:

@@ -236,7 +236,8 @@ def _strip_arrays_loop(decomp, require_poles):
                     raise InvalidArgument(
                         f"rank-{j.rank} interval ({j.lo}, {j.hi}) has no pole; "
                         "overlap needs a complete decomposition "
-                        "(or pass require_poles=False to skip such intervals)"
+                        "(to skip such intervals, pass require_poles=False, or "
+                        "--skip-poleless to dirmax overlap)"
                     )
                 continue
             tau_low.append(1.0 / j.width)
