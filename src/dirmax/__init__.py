@@ -43,12 +43,9 @@ from .kernels import (
     zeta_eval,
 )
 from .lacunary import (
-    CompleteLacunarySpec,
     DirectionSet,
     LacunaryDecomposition,
-    LacunarySequence,
     RankInterval,
-    adjacent_intervals,
     binary_decomposition,
     build_decomposition,
     check_lacunary,

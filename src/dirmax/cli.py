@@ -112,9 +112,10 @@ def _cmd_decompose(args) -> int:
     data = _read_json(args.input)
     domain = tuple(_parse_list(args.domain, "--domain", count=2)) if args.domain else None
     if args.mode == "binary":
-        if domain is not None:
-            raise InvalidArgument("--domain applies to chain mode only")
-        decomp = binary_decomposition(_numbers(data, "binary mode input"), gap=args.gap)
+        for flag, value in (("--domain", domain), ("--gap", args.gap)):
+            if value is not None:
+                raise InvalidArgument(f"{flag} applies to chain mode only")
+        decomp = binary_decomposition(_numbers(data, "binary mode input"))
     else:
         if isinstance(data, dict):
             if "chain" not in data:
@@ -123,7 +124,7 @@ def _cmd_decompose(args) -> int:
         if not isinstance(data, list):
             raise InvalidArgument("chain mode expects a JSON array of slope arrays")
         stages = [_numbers(stage, "each chain stage") for stage in data]
-        decomp = build_decomposition(stages, args.gap, domain)
+        decomp = build_decomposition(stages, 0.5 if args.gap is None else args.gap, domain)
     _write_text(args.out, json.dumps(decomp.to_json(), sort_keys=True, indent=1) + "\n")
     return 0
 
@@ -139,10 +140,12 @@ _KERNELS = {
 
 
 def _cmd_kernel_table(args) -> int:
-    if args.h <= 0:
-        raise InvalidArgument("h must be positive")
     fn, param = _KERNELS[args.kind]
-    scale = getattr(args, param)  # the evaluator rejects a bad scale
+    other = "h" if param == "r" else "r"
+    if getattr(args, other) is not None:
+        raise InvalidArgument(f"--{other} does not apply to --kind {args.kind}")
+    scale = getattr(args, param)
+    scale = 1.0 if scale is None else scale  # the evaluator rejects a bad scale
     a, b = _parse_list(args.range, "--range", count=2)
     if args.samples < 1:
         raise InvalidArgument("--samples must be >= 1")
@@ -255,15 +258,15 @@ def _build_parser() -> _Parser:
     d = sub.add_parser("decompose", help="build a lacunary decomposition")
     d.add_argument("--input", required=True)
     d.add_argument("--mode", choices=("binary", "chain"), required=True)
-    d.add_argument("--gap", type=float, default=0.5)
+    d.add_argument("--gap", type=float, default=None, help="chain mode only (default 0.5)")
     d.add_argument("--domain", default=None, help="a,b")
     d.add_argument("--out", default=None)
     d.set_defaults(fn=_cmd_decompose)
 
     k = sub.add_parser("kernel-table", help="tabulate a kernel as CSV")
     k.add_argument("--kind", choices=("fejer", "vp", "vp-hat", "bump", "zeta"), required=True)
-    k.add_argument("--r", type=float, default=1.0)
-    k.add_argument("--h", type=float, default=1.0)
+    k.add_argument("--r", type=float, default=None, help="scale of every kind but bump (default 1)")
+    k.add_argument("--h", type=float, default=None, help="scale of bump (default 1)")
     k.add_argument("--range", required=True, help="a,b")
     k.add_argument("--samples", type=int, required=True)
     k.add_argument("--out", default=None)

@@ -36,13 +36,10 @@ from .errors import InvalidArgument, PreconditionViolation, ValidationFailure
 
 __all__ = [
     "DirectionSet",
-    "LacunarySequence",
     "RankInterval",
     "LacunaryDecomposition",
-    "CompleteLacunarySpec",
     "check_lacunary",
     "infer_pole",
-    "adjacent_intervals",
     "build_decomposition",
     "binary_decomposition",
     "complete_one_sided",
@@ -173,7 +170,6 @@ def infer_pole(
     points: Sequence[float],
     gap: float,
     within: Optional[tuple[float, float]] = None,
-    exclude_points: bool = False,
 ) -> Optional[float]:
     """Find a pole making the points gap-lacunary, or None if none exists.
 
@@ -196,13 +192,6 @@ def infer_pole(
         p = pts[0]
         if within is not None and not (within[0] <= p <= within[1]):
             p = 0.5 * (within[0] + within[1])
-        if exclude_points and p == pts[0]:
-            if within is not None:
-                p = 0.5 * (within[0] + pts[0])
-                if p == pts[0]:
-                    p = 0.5 * (pts[0] + within[1])
-            else:
-                p = pts[0] - 1.0
         return p
     inc = all(w > u for u, w in zip(pts, pts[1:]))
     dec = all(w < u for u, w in zip(pts, pts[1:]))
@@ -228,41 +217,14 @@ def infer_pole(
             continue
         if within is not None and not (within[0] <= p <= within[1]):
             continue
-        if exclude_points and p in pts:
-            continue
         if check_lacunary(pts, p, gap):
             return p
     return None
 
 
 # ---------------------------------------------------------------------------
-# sequences, intervals, decompositions
+# intervals and decompositions
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LacunarySequence:
-    """Points ordered by strictly decreasing distance to a pole.
-
-    A single point is accepted as a degenerate (vacuous) sequence; in that
-    case the pole may coincide with the point.
-    """
-
-    points: tuple[float, ...]
-    pole: float
-    gap: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", _as_floats(self.points))
-        if not check_lacunary(self.points, self.pole, self.gap):
-            raise ValidationFailure(
-                f"points {self.points} are not {self.gap}-lacunary about {self.pole}"
-            )
-        if len(self.points) > 1 and self.pole in self.points[:-1]:
-            raise ValidationFailure("pole coincides with a non-final point")
-
-    def distances(self) -> tuple[float, ...]:
-        return tuple(abs(v - self.pole) for v in self.points)
 
 
 @dataclass(frozen=True)
@@ -405,67 +367,9 @@ def _read_json(path):
             raise InvalidArgument(f"{path}: not valid JSON ({exc})") from None
 
 
-@dataclass(frozen=True)
-class CompleteLacunarySpec:
-    """A complete one-side lacunary sequence inside an interval.
-
-    Invariants: consecutive distance ratios lie in [1/4, 1/2), and the first
-    element reaches at least half-way from the pole to the interval end on
-    its side.  ``points`` are ordered by decreasing distance to the pole.
-    """
-
-    interval: tuple[float, float]
-    pole: float
-    side: str  # "one-side-increasing" | "one-side-decreasing"
-    points: tuple[float, ...]
-
-    def __post_init__(self):
-        a, b = self.interval
-        if not (a <= self.pole <= b):
-            raise ValidationFailure(f"pole {self.pole} outside interval {self.interval}")
-        pts = _as_floats(self.points)
-        object.__setattr__(self, "points", pts)
-        if not pts:
-            raise ValidationFailure("complete sequence must be nonempty")
-        d = [abs(v - self.pole) for v in pts]
-        above = all(v > self.pole for v in pts)
-        below = all(v < self.pole for v in pts)
-        if not (above or below):
-            raise ValidationFailure("complete one-side sequence must stay on one side")
-        expected = "one-side-decreasing" if above else "one-side-increasing"
-        if self.side != expected:
-            raise ValidationFailure(f"side mismatch: {self.side} vs {expected}")
-        cap = (b - self.pole) if above else (self.pole - a)
-        if not all(x < cap for x in d):
-            raise ValidationFailure("points leave the interval")
-        if not d[0] >= 0.5 * cap:
-            raise ValidationFailure(
-                f"first element reaches {d[0]:.6g} < half the gap {0.5 * cap:.6g}"
-            )
-        for x, y in zip(d, d[1:]):
-            ratio = y / x
-            if not (RATIO_LO <= ratio < RATIO_HI):
-                raise ValidationFailure(f"ratio {ratio} outside [1/4, 1/2)")
-
-
 # ---------------------------------------------------------------------------
 # adjacent intervals
 # ---------------------------------------------------------------------------
-
-
-def adjacent_intervals(
-    points: Iterable[float], domain: tuple[float, float]
-) -> list[tuple[float, float]]:
-    """Maximal open subintervals of ``domain`` containing no point of the set.
-
-    Ordered left to right; the two boundary gaps against the domain endpoints
-    are included (when nonempty).  An empty set yields the whole domain.
-    """
-    domain = _check_domain(domain)
-    pts = sorted(set(_as_floats(points)))
-    _check_inside(pts, domain)
-    lo, hi = _gaps(pts, domain)
-    return list(zip(lo.tolist(), hi.tolist()))
 
 
 def _check_domain(domain: Sequence[float]) -> tuple[float, float]:
@@ -485,7 +389,11 @@ def _check_inside(points: Sequence[float], domain: tuple[float, float]) -> None:
 
 
 def _gaps(points: Sequence[float], domain: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
-    """``adjacent_intervals`` as (lo, hi) arrays, for a sorted set inside the domain."""
+    """Maximal open subintervals of the domain holding no point, as (lo, hi) arrays.
+
+    For a sorted set inside the closed domain; ordered left to right, with the
+    empty gaps at a boundary point dropped.  An empty set yields the domain.
+    """
     edges = np.concatenate(([domain[0]], np.asarray(points, dtype=float), [domain[1]]))
     lo, hi = edges[:-1], edges[1:]
     nonempty = lo < hi
@@ -635,38 +543,43 @@ def _assemble(
     return LacunaryDecomposition(tuple(chain), gap, *arrays, domain, poles, tuple(groups))
 
 
+def _split_pole(
+    pts: list[float], interval: tuple[float, float], gap: float, splits: Iterable[int]
+) -> Optional[tuple[float, list[tuple[float, ...]]]]:
+    """The pole and sides of the first split of the sorted points that admits one.
+
+    Split j puts ``pts[:j]`` left of the pole and ``pts[j:]`` right of it;
+    the pole is the midpoint of the open interval of poles inside
+    ``interval``, strictly between the two sides, that make each side
+    gap-lacunary.  The sides are the nonempty ones, each ordered by
+    decreasing distance to the pole.  None if no split admits a pole.
+    """
+    for j in splits:
+        left, right = pts[:j], pts[j:]
+        flo, fhi = _feasible_pole_interval(left, gap)
+        glo, ghi = _feasible_pole_interval(right[::-1], gap)
+        lo = max(flo, glo, interval[0], *left[-1:])
+        hi = min(fhi, ghi, interval[1], *right[:1])
+        pole = 0.5 * (lo + hi)
+        sides = [_order_by_distance(s, pole) for s in (left, right) if s]
+        if lo < pole < hi and all(check_lacunary(s, pole, gap) for s in sides):
+            return pole, sides
+    return None
+
+
 def _infer_group(
-    pts: list[float],
-    interval: tuple[float, float],
-    gap: float,
-    stage: int,
-    exclude_points: bool = False,
+    pts: list[float], interval: tuple[float, float], gap: float, stage: int
 ) -> Optional[list[_StageGroup]]:
-    # one-sided: pole beyond either end; completion flows need the pole
-    # strictly off the points so the group can be completed about it
-    for ordered in (tuple(reversed(pts)), tuple(pts)):
-        pole = infer_pole(ordered, gap, within=interval, exclude_points=exclude_points)
+    # one-sided: the feasible pole nearest the points, beyond either end
+    for ordered in (pts[::-1], pts):
+        pole = infer_pole(ordered, gap, within=interval)
         if pole is not None and check_lacunary(
             _order_by_distance(pts, pole), pole, gap
         ):
             return [_StageGroup(stage, pole, _order_by_distance(pts, pole))]
     # two-sided about an interior pole
-    for j in range(1, len(pts)):
-        left, right = pts[:j], pts[j:]
-        flo, fhi = _feasible_pole_interval(tuple(left), gap)
-        glo, ghi = _feasible_pole_interval(tuple(reversed(right)), gap)
-        lo = max(flo, glo, left[-1], interval[0])
-        hi = min(fhi, ghi, right[0], interval[1])
-        if lo < hi:
-            pole = 0.5 * (lo + hi)
-            ordl = _order_by_distance(left, pole)
-            ordr = _order_by_distance(right, pole)
-            if check_lacunary(ordl, pole, gap) and check_lacunary(ordr, pole, gap):
-                return [
-                    _StageGroup(stage, pole, ordl),
-                    _StageGroup(stage, pole, ordr),
-                ]
-    return None
+    found = _split_pole(pts, interval, gap, range(1, len(pts)))
+    return None if found is None else [_StageGroup(stage, found[0], s) for s in found[1]]
 
 
 def build_decomposition(
@@ -710,24 +623,22 @@ def build_decomposition(
 # ---------------------------------------------------------------------------
 
 
-def binary_decomposition(
-    points: Iterable[float], gap: float = 0.5
-) -> LacunaryDecomposition:
+def binary_decomposition(points: Iterable[float]) -> LacunaryDecomposition:
     """Decompose a finite set by repeated median bisection.
 
     Stage 1 keeps the extremes; each later stage inserts, in every gap that
     still contains interior points, the (lower) median interior point as a
     one-point lacunary sequence.  The resulting order is at most
-    floor(log2 N) + 2 for N points.
+    floor(log2 N) + 2 for N points.  One point is lacunary for every gap,
+    so the output is labelled with gap 1/2.
     """
-    _check_gap(gap)
     pts = sorted(set(_as_floats(points)))
     if not pts:
         raise InvalidArgument("points must be nonempty")
     if len(pts) == 1:
         dom = (pts[0] - 0.5, pts[0] + 0.5)
         g = _StageGroup(1, pts[0], (pts[0],))
-        return _assemble([tuple(pts)], gap, dom, [g])
+        return _assemble([tuple(pts)], 0.5, dom, [g])
     domain = (pts[0], pts[-1])
     joined = np.ones(len(pts), dtype=np.int64)  # the stage each point joins at
     groups = [
@@ -751,7 +662,7 @@ def binary_decomposition(
         pending = nxt
     arr = np.array(pts)
     chain = [tuple(arr[joined <= k].tolist()) for k in range(1, stage + 1)]
-    return _assemble(chain, gap, domain, groups)
+    return _assemble(chain, 0.5, domain, groups)
 
 
 # ---------------------------------------------------------------------------
@@ -762,15 +673,10 @@ def binary_decomposition(
 def _bridge_distances(d_hi: float, d_lo: float) -> list[float]:
     """Distances strictly between d_hi and d_lo making all ratios [1/4, 1/2).
 
-    Requires d_lo / d_hi < 1/2.  Returns the inserted values only, ordered
+    For d_lo / d_hi < 1/2.  Returns the inserted values only, ordered
     decreasing; may be empty when the direct ratio already fits.
     """
     rho = d_lo / d_hi
-    if not rho < RATIO_HI:
-        raise PreconditionViolation(
-            f"ratio {rho} >= 1/2 cannot be bridged; reindex the sequence into "
-            "interleaved subsequences first"
-        )
     if rho >= RATIO_LO:
         return []
     steps = math.ceil(math.log2(1.0 / rho) / 2.0)
@@ -784,17 +690,11 @@ def _bridge_distances(d_hi: float, d_lo: float) -> list[float]:
     raise ValidationFailure(f"could not bridge ratio {rho}")
 
 
-def _complete_distances(dists: Sequence[float], cap: float) -> list[float]:
-    """Extend decreasing distances to a complete profile inside (0, cap)."""
-    d = list(dists)
-    if d and d[0] >= cap:
-        raise ValidationFailure("sequence leaves its interval")
-    if not d:
-        d = [0.75 * cap]
+def _complete_distances(d: list[float], cap: float) -> list[float]:
+    """Extend nonempty decreasing distances to a complete profile inside (0, cap)."""
     if d[0] < 0.5 * cap:
         top = 0.75 * cap if 2.0 * d[0] < 0.75 * cap else 0.5 * (2.0 * d[0] + cap)
-        head = [top] + _bridge_distances(top, d[0])
-        d = head + d
+        d = [top, *_bridge_distances(top, d[0]), *d]
     out = [d[0]]
     for x in d[1:]:
         out.extend(_bridge_distances(out[-1], x))
@@ -803,39 +703,49 @@ def _complete_distances(dists: Sequence[float], cap: float) -> list[float]:
 
 
 def complete_one_sided(
-    seq: LacunarySequence, interval: tuple[float, float]
-) -> CompleteLacunarySpec:
-    """Embed a one-sided lacunary sequence into a complete one in the interval.
+    points: Sequence[float], pole: float, interval: tuple[float, float]
+) -> tuple[float, ...]:
+    """Embed one-sided lacunary points into a complete sequence in the interval.
 
-    The output contains every input point, has consecutive distance ratios in
-    [1/4, 1/2), and its first element reaches at least half-way from the pole
-    to the interval end.  Requires every actual ratio < 1/2 (a gap >= 1/2 is
-    rejected with a pointer to interleaved reindexing).
+    ``points`` lie on one side of ``pole``, ordered by decreasing distance
+    to it.  The output contains every input point exactly, ordered the same
+    way; its consecutive distance ratios lie in [1/4, 1/2), and its first
+    element reaches at least half-way from the pole to the interval end.
+    Requires every input ratio < 1/2 (a gap >= 1/2 is rejected with a
+    pointer to interleaved reindexing).  ValidationFailure if the rounded
+    output points break the profile.
     """
     a, b = float(interval[0]), float(interval[1])
-    if not (a <= seq.pole <= b):
-        raise InvalidArgument(f"pole {seq.pole} outside interval ({a}, {b})")
-    pts = seq.points
+    pts = _as_floats(points)
+    if not pts:
+        raise InvalidArgument("points must be nonempty")
+    if not (a <= pole <= b):
+        raise InvalidArgument(f"pole {pole} outside interval ({a}, {b})")
     if not all(a < v < b for v in pts):
-        raise InvalidArgument("sequence must lie inside the interval")
-    above = all(v > seq.pole for v in pts)
-    below = all(v < seq.pole for v in pts)
-    if not (above or below):
-        raise InvalidArgument("sequence must lie on one side of its pole")
-    d = [abs(v - seq.pole) for v in pts]
+        raise InvalidArgument("points must lie inside the interval")
+    above = all(v > pole for v in pts)
+    if not (above or all(v < pole for v in pts)):
+        raise InvalidArgument("points must lie on one side of their pole")
+    d = [abs(v - pole) for v in pts]
     for x, y in zip(d, d[1:]):
         if y / x >= RATIO_HI:
             raise PreconditionViolation(
                 f"distance ratio {y / x:.6g} >= 1/2: complete embedding impossible; "
                 "reindex into interleaved subsequences (gap**n < 1/2) first"
             )
-    cap = (b - seq.pole) if above else (seq.pole - a)
-    dist = _complete_distances(d, cap)
+    cap = (b - pole) if above else (pole - a)
     sign = 1.0 if above else -1.0
     given = dict(zip(d, pts))  # keep the input points exactly, build only the bridges
-    points = tuple(given.get(x, seq.pole + sign * x) for x in dist)
-    side = "one-side-decreasing" if above else "one-side-increasing"
-    return CompleteLacunarySpec((a, b), seq.pole, side, points)
+    out = tuple(given.get(x, pole + sign * x) for x in _complete_distances(d, cap))
+    reach = [abs(v - pole) for v in out]
+    if not reach[0] >= 0.5 * cap:
+        raise ValidationFailure(
+            f"first element reaches {reach[0]:.6g} < half the gap {0.5 * cap:.6g}"
+        )
+    for x, y in zip(reach, reach[1:]):
+        if not RATIO_LO <= y / x < RATIO_HI:
+            raise ValidationFailure(f"ratio {y / x} outside [1/4, 1/2)")
+    return out
 
 
 def substage_count(gap: float) -> int:
@@ -882,15 +792,17 @@ def complete_decomposition(decomp: LacunaryDecomposition) -> LacunaryDecompositi
         added = [anchors]
         stage = len(new_chain) + 1
         for lo, hi, pts in split:
-            sub = _infer_group(pts, (lo, hi), eff, stage, exclude_points=True)
-            if sub is None:
+            # one-sided splits first, then two-sided; the pole stays off the points
+            found = _split_pole(pts, (lo, hi), eff, [0, len(pts), *range(1, len(pts))])
+            if found is None:
                 raise ValidationFailure(
                     f"stage {stage}: restriction to ({lo:.6g}, {hi:.6g}) admits no pole"
                 )
-            for g in sub:
-                spec = complete_one_sided(LacunarySequence(g.points, g.pole, eff), (lo, hi))
-                new_groups.append(_StageGroup(stage, g.pole, spec.points))
-                added.append(spec.points)
+            pole, sides = found
+            for side in sides:
+                done = complete_one_sided(side, pole, (lo, hi))
+                new_groups.append(_StageGroup(stage, pole, done))
+                added.append(done)
         current = np.unique(np.concatenate([current, *added]))
         if split or not new_chain:
             new_chain.append(tuple(current.tolist()))

@@ -180,15 +180,21 @@ class TestExitCodes:
         "argv, message",
         [
             (["decompose", "--mode", "binary", "--input", "DIRS", "--gap", "1.5"],
-             "gap must lie in (0, 1), got 1.5"),
+             "--gap applies to chain mode only"),
             (["decompose", "--mode", "binary", "--input", "DIRS", "--gap", "-1"],
-             "gap must lie in (0, 1), got -1.0"),
+             "--gap applies to chain mode only"),
+            (["decompose", "--mode", "chain", "--input", "SLOPE_CHAIN", "--gap", "1.5"],
+             "gap must lie in (0, 1), got 1.5"),
             (["decompose", "--mode", "binary", "--input", "DIRS", "--domain", "5,9"],
              "--domain applies to chain mode only"),
             (["overlap", "--decomp", "DECOMP_GAP_1.5"], "gap must lie in (0, 1), got 1.5"),
             (["overlap", "--decomp", "DECOMP_NOT_NESTED"], "chain is not nested at stage 1"),
             (["kernel-table", "--kind", "fejer", "--r", "0", "--range", "0,1",
               "--samples", "2"], "r must be a positive real, got 0.0"),
+            (["kernel-table", "--kind", "bump", "--r", "-1", "--range", "0,1",
+              "--samples", "2"], "--r does not apply to --kind bump"),
+            (["kernel-table", "--kind", "zeta", "--h", "1", "--range", "0,1",
+              "--samples", "2"], "--h does not apply to --kind zeta"),
             (["apply", "--op", "m1", "--grid", "GRID"], "m1 needs --directions"),
             (["check-support", "--chain", "CHAIN", "--theta", "0.4", "--R", "0"],
              "R must be a positive real, got 0.0"),
@@ -201,10 +207,11 @@ class TestExitCodes:
             (["sweep", "--mode", "N", "--values", "0", "--ops", "m1", "--family", "disk",
               "--size", "32"], "n must be >= 1"),
         ],
-        ids=["binary-gap-above-one", "binary-gap-negative", "binary-domain",
-             "decomposition-gap", "decomposition-not-nested",
-             "kernel-r-zero", "apply-no-directions", "support-R-zero",
-             "support-R-negative", "support-R-nan", "support-R-inf", "sweep-n-zero"],
+        ids=["binary-gap-above-one", "binary-gap-negative", "chain-gap-above-one",
+             "binary-domain", "decomposition-gap", "decomposition-not-nested",
+             "kernel-r-zero", "kernel-bump-r", "kernel-zeta-h", "apply-no-directions",
+             "support-R-zero", "support-R-negative", "support-R-nan", "support-R-inf",
+             "sweep-n-zero"],
     )
     def test_malformed_input_corpus(
         self, grid_file, dirs_file, tmp_path, capsys, recwarn, argv, message
@@ -217,6 +224,8 @@ class TestExitCodes:
         decomp["gap"] = 1.5
         bad_decomp = tmp_path / "d.json"
         bad_decomp.write_text(json.dumps(decomp))
+        slope_chain = tmp_path / "slope-chain.json"
+        slope_chain.write_text(json.dumps([[0.25, 0.75]]))
         # the chain {0.5} then {0.3}, with the rank intervals of each set
         not_nested = tmp_path / "not-nested.json"
         not_nested.write_text(json.dumps({"gap": 0.5, "chain": [[0.5], [0.3]], "rank_intervals": [
@@ -224,7 +233,8 @@ class TestExitCodes:
             {"lo": 0.0, "hi": 0.3, "rank": 2}, {"lo": 0.3, "hi": 1.0, "rank": 2},
         ], "domain": [0.0, 1.0]}))
         files = {"DIRS": dirs_file, "GRID": grid_file, "CHAIN": chain,
-                 "DECOMP_GAP_1.5": bad_decomp, "DECOMP_NOT_NESTED": not_nested}
+                 "SLOPE_CHAIN": slope_chain, "DECOMP_GAP_1.5": bad_decomp,
+                 "DECOMP_NOT_NESTED": not_nested}
         out = tmp_path / "out"
         argv = [str(files.get(a, a)) for a in argv] + ["--out", str(out)]
         assert run(argv) == 1
@@ -280,14 +290,18 @@ class TestKernelTable:
     @pytest.mark.parametrize("kind", ["fejer", "vp", "vp-hat", "bump", "zeta"])
     @pytest.mark.parametrize("h", ["0", "-1"])
     def test_nonpositive_h_is_validation_failure(self, capsys, kind, h):
+        # bump's evaluator rejects its scale; the other kinds never read --h
         assert run(["kernel-table", "--kind", kind, "--h", h, "--range", "0,1",
                     "--samples", "2"]) == 1
-        assert capsys.readouterr().err == "dirmax: h must be positive\n"
+        want = (f"h must be a positive real, got {float(h)}" if kind == "bump"
+                else f"--h does not apply to --kind {kind}")
+        assert capsys.readouterr().err == f"dirmax: {want}\n"
 
     def test_all_kinds_run(self, tmp_path):
         for kind in ("fejer", "vp", "vp-hat", "bump", "zeta"):
+            scale = "--h" if kind == "bump" else "--r"
             out = tmp_path / f"{kind}.csv"
-            assert run(["kernel-table", "--kind", kind, "--r", "2", "--h", "1",
+            assert run(["kernel-table", "--kind", kind, scale, "2",
                         "--range", "0,4", "--samples", "5", "--out", str(out)]) == 0
             assert len(out.read_text().splitlines()) == 6
 

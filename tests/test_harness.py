@@ -20,8 +20,8 @@ from dirmax.harness import (
     sweep_mu,
     uniform_directions,
 )
-from dirmax.lacunary import DirectionSet, _assemble, _StageGroup, adjacent_intervals
-from test_lacunary import decomposition_bits
+from dirmax.lacunary import DirectionSet, _assemble, _StageGroup
+from test_lacunary import decomposition_bits, gap_list
 
 
 class TestGenerate:
@@ -64,7 +64,7 @@ def _staged_stage_loop(mu, depth=4, domain=(0.0, 1.0)):
     ratio = 7.0 / 16.0
     current, chain, groups = [], [], []
     for stage in range(1, mu + 1):
-        gaps = adjacent_intervals(current, domain) if current else [domain]
+        gaps = gap_list(current, domain)
         new_pts = []
         for lo, hi in gaps:
             pole = 0.5 * (lo + hi)

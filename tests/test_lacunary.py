@@ -11,17 +11,16 @@ from hypothesis import given, settings, strategies as st
 from dirmax.errors import InvalidArgument, PreconditionViolation, ValidationFailure
 from dirmax.harness import staged_lacunary_directions
 from dirmax.lacunary import (
-    CompleteLacunarySpec,
     DirectionSet,
     LacunaryDecomposition,
-    LacunarySequence,
     RATIO_HI,
     RATIO_LO,
     RankInterval,
     _assemble,
+    _check_inside,
+    _gaps,
     _split_by_gaps,
     _StageGroup,
-    adjacent_intervals,
     binary_decomposition,
     build_decomposition,
     check_lacunary,
@@ -125,22 +124,28 @@ class TestInferPole:
         assert check_lacunary(kept, p, 0.5)
 
 
+def gap_list(points, domain):
+    """The adjacent intervals of a sorted set inside the domain, as (lo, hi) pairs."""
+    lo, hi = _gaps(points, domain)
+    return list(zip(lo.tolist(), hi.tolist()))
+
+
 class TestAdjacentIntervals:
     def test_single_point(self):
-        assert adjacent_intervals([0.5], (0, 1)) == [(0, 0.5), (0.5, 1)]
+        assert gap_list([0.5], (0, 1)) == [(0, 0.5), (0.5, 1)]
 
     def test_two_points(self):
-        assert adjacent_intervals([0.2, 0.7], (0, 1)) == [(0, 0.2), (0.2, 0.7), (0.7, 1)]
+        assert gap_list([0.2, 0.7], (0, 1)) == [(0, 0.2), (0.2, 0.7), (0.7, 1)]
 
     def test_empty_set(self):
-        assert adjacent_intervals([], (0, 1)) == [(0, 1)]
+        assert gap_list([], (0, 1)) == [(0, 1)]
 
     def test_boundary_points_collapse_gaps(self):
-        assert adjacent_intervals([0.0, 1.0], (0, 1)) == [(0.0, 1.0)]
+        assert gap_list([0.0, 1.0], (0, 1)) == [(0.0, 1.0)]
 
     def test_outside_domain_rejected(self):
         with pytest.raises(InvalidArgument):
-            adjacent_intervals([1.5], (0, 1))
+            _check_inside([1.5], (0, 1))
 
 
 def _laminar(intervals) -> bool:
@@ -254,39 +259,43 @@ class TestBinaryDecomposition:
 
 class TestCompleteOneSided:
     def test_already_complete_unchanged(self):
-        seq = LacunarySequence((0.6, 0.2, 0.06), 0.0, 0.4)
-        spec = complete_one_sided(seq, (-1, 1))
-        assert spec.points == (0.6, 0.2, 0.06)
-        assert spec.side == "one-side-decreasing"
+        assert complete_one_sided((0.6, 0.2, 0.06), 0.0, (-1, 1)) == (0.6, 0.2, 0.06)
 
     def test_prepends_to_reach_half_gap(self):
-        seq = LacunarySequence((0.1,), 0.0, 0.4)
-        spec = complete_one_sided(seq, (0, 1))
-        assert 0.1 in spec.points
-        assert spec.points[0] >= 0.5
-        d = [abs(v) for v in spec.points]
+        out = complete_one_sided((0.1,), 0.0, (0, 1))
+        assert 0.1 in out
+        assert out[0] >= 0.5
+        d = [abs(v) for v in out]
         assert all(RATIO_LO <= y / x < RATIO_HI for x, y in zip(d, d[1:]))
 
     def test_exact_half_ratio_impossible(self):
-        seq = LacunarySequence((0.6, 0.3), 0.0, 0.6)
         with pytest.raises(PreconditionViolation):
-            complete_one_sided(seq, (0, 1))
+            complete_one_sided((0.6, 0.3), 0.0, (0, 1))
 
     def test_sparse_ratios_bridged(self):
-        seq = LacunarySequence((0.5, 0.01), 0.0, 0.4)  # ratio 0.02 needs bridging
-        spec = complete_one_sided(seq, (0, 1))
-        assert {0.5, 0.01} <= set(spec.points)
+        out = complete_one_sided((0.5, 0.01), 0.0, (0, 1))  # ratio 0.02 needs bridging
+        assert {0.5, 0.01} <= set(out)
 
-    def test_output_validates_invariants(self):
-        # CompleteLacunarySpec's constructor enforces the window and the
-        # half-gap condition; a broken profile must be rejected
-        with pytest.raises(ValidationFailure):
-            CompleteLacunarySpec((0, 1), 0.0, "one-side-decreasing", (0.8, 0.41))
+    def test_rounded_output_is_checked(self):
+        # a pole 7e-15 from the last point: the bridge down to it rounds one
+        # ratio to 0.24998..., and the check on the output points rejects it
+        with pytest.raises(ValidationFailure, match="ratio 0.2499"):
+            complete_one_sided(
+                (0.8286522154085177, 0.8285398507515324, 0.8284662768760016,
+                 0.8284348313922252),
+                0.8284348313922179,
+                (0.8284014292105856, 0.828695248580822),
+            )
 
-    def test_pole_outside_interval_rejected(self):
-        seq = LacunarySequence((0.6, 0.2), 0.0, 0.4)
+    @pytest.mark.parametrize(
+        "points, pole, interval",
+        [((0.6, 0.2), 0.0, (0.1, 1)), ((), 0.0, (0, 1)), ((0.6, -0.2), 0.0, (-1, 1)),
+         ((0.6, 0.2), 0.0, (-1, 0.5)), ((0.6, 0.2), math.nan, (-1, 1))],
+        ids=["pole-outside", "empty", "both-sides", "point-outside", "pole-nan"],
+    )
+    def test_malformed_input_rejected(self, points, pole, interval):
         with pytest.raises(InvalidArgument):
-            complete_one_sided(seq, (0.1, 1))
+            complete_one_sided(points, pole, interval)
 
     @given(st.integers(0, 400))
     @settings(max_examples=60, deadline=None)
@@ -295,9 +304,8 @@ class TestCompleteOneSided:
         pole = rng.uniform(0.2, 0.8)
         n = int(rng.integers(1, 6))
         d = np.cumprod(rng.uniform(0.05, 0.49, n)) * (1 - pole) * rng.uniform(0.1, 0.9)
-        seq = LacunarySequence(tuple(pole + x for x in d), pole, 0.5)
-        spec = complete_one_sided(seq, (0.0, 1.0))
-        assert set(seq.points) <= set(spec.points)
+        pts = tuple(pole + x for x in d)
+        assert set(pts) <= set(complete_one_sided(pts, pole, (0.0, 1.0)))
 
 
 class TestCompleteDecomposition:
@@ -346,12 +354,18 @@ def _completion_corpus():
                     )
     for mu in (1, 2, 3):
         out[f"staged-mu{mu}"] = lambda mu=mu: staged_lacunary_directions(mu, depth=2)
+
+    def binary(points, gap):
+        # binary_decomposition is labelled gap 1/2; other gaps rebuild its chain
+        d = binary_decomposition(points)
+        return d if gap == 0.5 else build_decomposition(d.chain, gap)
+
     for gap in (0.3, 0.5, 0.8):
         for n in (2, 3, 7, 60, 200):
-            out[f"binary-{n}-gap{gap}"] = lambda n=n, g=gap: binary_decomposition(
+            out[f"binary-{n}-gap{gap}"] = lambda n=n, g=gap: binary(
                 np.random.default_rng(n).uniform(0, 1, n), g
             )
-        out[f"binary-0.4-0.6-gap{gap}"] = lambda g=gap: binary_decomposition([0.4, 0.6], g)
+        out[f"binary-0.4-0.6-gap{gap}"] = lambda g=gap: binary([0.4, 0.6], g)
     chains = {
         "dyadic": ([tuple(2.0**-k for k in range(11))], 0.5, (0.0, 2.0)),
         "two-stage": ([[0.03125, 1], [0.03125, 0.0625, 0.125, 0.25, 0.5, 1]], 0.5, None),
@@ -376,10 +390,24 @@ class TestCompletionPaths:
         assert json.dumps(got.to_json()) == json.dumps(complete_decomposition(loaded).to_json())
         assert set(d.final_set) <= set(got.final_set)
 
-    @pytest.mark.xfail(strict=True, raises=ValidationFailure,
-                       reason="a pole 1e-9 |J| from a point: bridging loses precision")
+    @pytest.mark.parametrize("name", COMPLETION_CORPUS)
+    def test_groups_are_complete(self, name):
+        c = complete_decomposition(COMPLETION_CORPUS[name]())
+        for g in c.groups:
+            assert g.pole not in g.points
+            assert len({v > g.pole for v in g.points}) == 1  # one side of the pole
+            d = [abs(v - g.pole) for v in g.points]
+            assert all(RATIO_LO <= y / x < RATIO_HI for x, y in zip(d, d[1:]))
+            # the gap of the previous chain set that holds the pole caps the reach
+            previous = c.chain[g.stage - 2] if g.stage > 1 else ()
+            (lo, hi), = [(a, b) for a, b in gap_list(previous, c.domain) if a < g.pole < b]
+            cap = hi - g.pole if g.points[0] > g.pole else g.pole - lo
+            assert d[0] >= 0.5 * cap
+
     def test_pole_next_to_a_point(self):
-        complete_decomposition(random_complete_decomposition(np.random.default_rng(38), 4, 2))
+        # the nearest feasible pole would sit 7e-15 from a point; the midpoint does not
+        d = random_complete_decomposition(np.random.default_rng(38), 4, 2)
+        assert set(d.final_set) <= set(complete_decomposition(d).final_set)
 
 
 class TestRandomComplete:
@@ -409,10 +437,9 @@ def decomposition_bits(d):
 
 def _random_stage_loop(rng, mu, depth=1, domain=(0.0, 1.0), fill_probability=1.0):
     """Reference: the random complete construction as its own stage loop."""
-    a0, b0 = domain
     current, chain, groups = [], [], []
     for stage in range(1, mu + 1):
-        gaps = adjacent_intervals(current, domain) if current else [(a0, b0)]
+        gaps = gap_list(current, domain)
         new_pts = []
         for lo, hi in gaps:
             if stage > 1 and fill_probability < 1.0 and rng.random() > fill_probability:
@@ -507,7 +534,7 @@ def _assign_poles_loop(chain, domain, groups):
     stage_poles = [(s, sorted(ps)) for s, ps in sorted(by_stage.items())]
     intervals = []
     for k in range(1, mu + 1):
-        gaps = adjacent_intervals(chain[k - 1], domain)
+        gaps = gap_list(chain[k - 1], domain)
         assigned = [None] * len(gaps)
         if k <= mu - 1:
             los = [g[0] for g in gaps]
@@ -657,7 +684,7 @@ class TestRankArrays:
     def test_from_json_rejects_non_nested_chain(self):
         chain = [[0.5], [0.3]]
         rows = [{"lo": lo, "hi": hi, "rank": k, "pole": None}
-                for k, s in enumerate(chain, 1) for lo, hi in adjacent_intervals(s, (0, 1))]
+                for k, s in enumerate(chain, 1) for lo, hi in gap_list(s, (0, 1))]
         data = {"gap": 0.5, "chain": chain, "rank_intervals": rows, "domain": [0, 1]}
         with pytest.raises(InvalidArgument, match="chain is not nested at stage 1"):
             LacunaryDecomposition.from_json(data)
@@ -697,7 +724,7 @@ class TestRankArrays:
 def _split_by_gaps_loop(points, current, domain):
     """The per-gap rescan that the single searchsorted replaced: the slow reference."""
     split = []
-    for lo, hi in adjacent_intervals(current, domain):
+    for lo, hi in gap_list(current, domain):
         pts = sorted(p for p in points if lo < p < hi)
         if pts:
             split.append((lo, hi, pts))
