@@ -39,14 +39,24 @@ radii with few nodes are computed by the direct composite rule (the
 intermediate field rather than f, so near the grid edge it undershoots the
 direct rule, and a cascaded level whose shift reaches the grid side is 0.
 
+Each line average is a stencil: the list of nonzero-weight lattice corners
+(di, dj, w) that the composite rule's bilinear reads add, node by node.  An
+operator call builds each (direction, half-length, segments) stencil once
+and shares it between every ladder that needs it; no stencil outlives the
+call.  A ladder builds only the levels in use: a level that is neither a
+candidate nor the predecessor of a cascaded level is skipped, and every
+level built is bit for bit the one of the full ladder.
+
 Every shift-add is bounded to the row band [r0, r1) where its source is
-nonzero, found by one ``any(axis=1)`` scan per source field, and each
-candidate is max-reduced into the result over its own band only.  This is
-exact, not an approximation, because every engine field is built from
-``np.abs`` and ``zeros_like`` by adding w * source with w >= 0, so it is
-nonnegative and never -0.0: a skipped row would only have received
-x + (+0.0) == x, and max(x, +0.0) == x.  An all-zero field (say a cascaded
-level whose shift passes the grid side) costs one scan and no adds.
+nonzero.  Only |f| is scanned for its band (one ``any(axis=1)`` per operator
+call); every other field carries the hull of the output rows its adds
+touched, down the ladder and into the max-reduction, where each candidate
+is max-reduced into the result over its own band only.  This is exact, not
+an approximation, because every engine field is built from ``np.abs`` and
+``zeros_like`` by adding w * source with w >= 0, so it is nonnegative and
+never -0.0: a skipped row would only have received x + (+0.0) == x, and
+max(x, +0.0) == x.  An all-zero field (say a cascaded level whose shift
+passes the grid side) carries the empty band and costs no adds.
 
 All operations are pure; fields are computed in a fixed summation order so
 results are reproducible bit for bit.
@@ -54,6 +64,7 @@ results are reproducible bit for bit.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
@@ -61,7 +72,7 @@ import os
 import struct
 import warnings
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Callable, Container, Optional, Sequence
 
 import numpy as np
 
@@ -273,71 +284,88 @@ def _row_band(a: np.ndarray) -> tuple[int, int]:
 
 
 def _shift_add(
-    out: np.ndarray, src: np.ndarray, di: int, dj: int, w: float,
-    rows: Optional[tuple[int, int]] = None,
-) -> None:
-    """out += w * translate(src) where translate reads src at (i+di, j+dj).
+    out: np.ndarray, src: np.ndarray, corners: Sequence[tuple[int, int, float]],
+    rows: tuple[int, int],
+) -> tuple[int, int]:
+    """out += w * translate(src) for each corner (di, dj, w) in turn, where
+    translate reads src at (i+di, j+dj); returns the hull [lo, hi) of the
+    output rows the adds touched, (0, 0) if none.
 
     Zero extension: out-of-range reads contribute nothing.  ``rows`` = (r0,
-    r1) promises that src is zero outside its rows [r0, r1), so only the
-    output rows reading them, [r0 - di, r1 - di), are added to.  That is bit
+    r1) promises that src is zero outside its rows [r0, r1), so a corner adds
+    only to the output rows reading them, [r0 - di, r1 - di).  That is bit
     for bit the full add when out holds no -0.0, as no engine field does
     (they are nonnegative sums started from ``zeros_like``): each skipped
-    row would only get x + (w * 0.0), which is x unless x is -0.0.
+    row would only get x + (w * 0.0), which is x unless x is -0.0.  For a
+    field started from zeros, the returned hull is therefore a row band of
+    it that the next shift-add can be given.
 
-    Both arrays must be C-contiguous and of the same shape: the valid output
-    rows form one run of the flattened array, which is updated by a single
-    1-D add (``ValueError`` otherwise, since a flat view needs C order).  In
-    that run the |dj| columns between two rows read across a row boundary;
-    they are saved before the add and restored after it.  Each pixel still
-    gets fl(out + fl(w * src)), so results match the 2-D slice add bit for
-    bit.
+    Both arrays must be C-contiguous and of the same shape: their flat views
+    are taken once per call (``ValueError`` otherwise, since a flat view
+    needs C order), and each corner's valid output rows form one run of the
+    flattened array, updated by a single 1-D add.  In that run the |dj|
+    columns between two rows read across a row boundary; they are saved
+    before the add and restored after it.  Each pixel still gets
+    fl(out + fl(w * src)) per corner, in corner order, so results match the
+    2-D slice adds bit for bit.
     """
-    if w == 0.0:
-        return
     h, wdt = out.shape
-    r0, r1 = (0, h) if rows is None else rows
-    i0, i1 = max(0, r0 - di), min(h, r1 - di)
-    j0, j1 = max(0, -dj), min(wdt, wdt - dj)
-    if i0 >= i1 or j0 >= j1:
-        return
-    if dj:
-        wrap = out[i0 : i1 - 1, j1:] if dj > 0 else out[i0 + 1 : i1, :j0]
-        kept = wrap.copy()
-    a, b = i0 * wdt + j0, (i1 - 1) * wdt + j1
-    off = di * wdt + dj
-    out.reshape(-1, copy=False)[a:b] += w * src.reshape(-1, copy=False)[a + off : b + off]
-    if dj:
-        wrap[...] = kept
+    o, s = out.reshape(-1, copy=False), src.reshape(-1, copy=False)
+    r0, r1 = rows
+    lo, hi = h, 0
+    for di, dj, w in corners:
+        i0, i1 = r0 - di, r1 - di
+        if i0 < 0:
+            i0 = 0
+        if i1 > h:
+            i1 = h
+        if i0 >= i1 or dj >= wdt or -dj >= wdt:
+            continue
+        if i0 < lo:
+            lo = i0
+        if i1 > hi:
+            hi = i1
+        off = di * wdt + dj
+        if dj >= 0:
+            a, b = i0 * wdt, (i1 - 1) * wdt + wdt - dj
+        else:
+            a, b = i0 * wdt - dj, i1 * wdt
+        wrap = None
+        if dj and i1 - i0 > 1:
+            wrap = out[i0 : i1 - 1, wdt - dj :] if dj > 0 else out[i0 + 1 : i1, :-dj]
+            kept = wrap.copy()
+        o[a:b] += w * s[a + off : b + off]
+        if wrap is not None:
+            wrap[...] = kept
+    return (lo, hi) if lo < hi else (0, 0)
 
 
-def _bilinear_shift_add(out, src, cx: float, cy: float, w: float, rows=None) -> None:
-    """out += w * (src sampled at lattice points shifted by (cx, cy) grid units).
+def _corners(cx: float, cy: float, w: float) -> list[tuple[int, int, float]]:
+    """The nonzero-weight corners (di, dj, w') of a bilinear read at (cx, cy)
+    grid units, weighted by w: sampling src there is adding them in order."""
+    jx, fx = math.floor(cx), cx - math.floor(cx)
+    iy, fy = math.floor(cy), cy - math.floor(cy)
+    corners = (
+        (iy, jx, w * (1 - fx) * (1 - fy)),
+        (iy, jx + 1, w * fx * (1 - fy)),
+        (iy + 1, jx, w * (1 - fx) * fy),
+        (iy + 1, jx + 1, w * fx * fy),
+    )
+    return [c for c in corners if c[2] != 0.0]
 
-    ``rows`` is src's nonzero row band, as in ``_shift_add``.
-    """
-    jx, fy_x = math.floor(cx), cx - math.floor(cx)
-    iy, fy_y = math.floor(cy), cy - math.floor(cy)
-    _shift_add(out, src, iy, jx, w * (1 - fy_x) * (1 - fy_y), rows)
-    _shift_add(out, src, iy, jx + 1, w * fy_x * (1 - fy_y), rows)
-    _shift_add(out, src, iy + 1, jx, w * (1 - fy_x) * fy_y, rows)
-    _shift_add(out, src, iy + 1, jx + 1, w * fy_x * fy_y, rows)
 
-
-def _trapezoid_field(
-    src: np.ndarray, e: tuple[float, float], delta: float, n_seg: int, spacing: float
-) -> np.ndarray:
-    """Composite-trapezoid centered line average of the field, all pixels at once.
-
-    Each shift-add covers only the rows reading src's nonzero band.
-    """
-    out = np.zeros_like(src)
-    rows = _row_band(src)
+def _stencil(
+    e: tuple[float, float], delta: float, n_seg: int, spacing: float
+) -> list[tuple[int, int, float]]:
+    """The corners of the composite-trapezoid centered line average along e
+    (half-length delta, n_seg segments): each node's bilinear corners, node
+    by node from -delta to delta."""
+    out = []
     step = 2.0 * delta / n_seg
     for k in range(n_seg + 1):
         t = -delta + k * step
         w = (0.5 if k in (0, n_seg) else 1.0) / n_seg
-        _bilinear_shift_add(out, src, t * e[0] / spacing, t * e[1] / spacing, w, rows)
+        out += _corners(t * e[0] / spacing, t * e[1] / spacing, w)
     return out
 
 
@@ -346,29 +374,44 @@ def _base_segments(delta: float, spu: int) -> int:
 
 
 def _avg_field_ladder(
-    src: np.ndarray,
-    e: tuple[float, float],
-    radii: Sequence[float],
-    spacing: float,
-    spu: int,
-    direct_cap: int,
+    src: np.ndarray, rows: tuple[int, int], e: tuple[float, float], radii: Sequence[float],
+    wanted: Container[float], spu: int, direct_cap: int, stencil: Callable,
 ):
-    """Yield (delta, field) for a dyadic ladder of centered line averages.
+    """Yield (delta, field, band) for the levels of a dyadic ladder of
+    centered line averages whose delta is ``wanted``.
 
-    Levels whose node count stays at or below ``direct_cap`` use the direct
-    composite trapezoid rule; larger levels are built from the previous one by
-    the two-point dyadic cascade.  The node count doubles with the radius, so
-    the quadrature density is scale independent.  Each level is built over
-    the nonzero row band of its source (src, or the previous level); for a
-    nonnegative src every level is nonnegative and never -0.0.
+    Level k has ``_base_segments(radii[0], spu) * 2**k`` segments, so the
+    quadrature density is scale independent.  Levels whose node count stays
+    at or below ``direct_cap`` apply the direct composite trapezoid rule to
+    src; larger levels are built from the previous one by the two-point
+    dyadic cascade.  A level is built only if it is wanted or a built cascade
+    level needs it, and each built level is bit for bit the one of the full
+    ladder, as its rule and source do not depend on the levels skipped.
+
+    ``rows`` is src's row band; each field carries the hull of the rows its
+    adds touched, which is the band its own cascade level is built over.
+    For a nonnegative src every level is nonnegative and never -0.0.
+    ``stencil(e, half_length, n_seg)`` gives a rule's corners (``_stencil``
+    at the grid spacing); a caller that caches it shares each stencil
+    between ladders.
     """
+    n0 = _base_segments(radii[0], spu)
+    build = [d in wanted for d in radii]
+    for k in range(len(radii) - 1, 0, -1):
+        if build[k] and n0 * 2**k + 1 > direct_cap:  # cascaded from level k - 1
+            build[k - 1] = True
     for k, delta in enumerate(radii):
-        n_seg = _base_segments(radii[0], spu) * 2**k
+        if not build[k]:
+            continue
+        n_seg = n0 * 2**k
         if k == 0 or n_seg + 1 <= direct_cap:
-            fld = _trapezoid_field(src, e, delta, n_seg, spacing)
+            corners, base, base_rows = stencil(e, delta, n_seg), src, rows
         else:  # the one-segment rule over the previous level: nodes -+ delta / 2
-            fld = _trapezoid_field(fld, e, delta / 2.0, 1, spacing)
-        yield delta, fld
+            corners, base, base_rows = stencil(e, delta / 2.0, 1), fld, fld_rows
+        fld = np.zeros_like(src)
+        fld_rows = _shift_add(fld, base, corners, base_rows)
+        if delta in wanted:
+            yield delta, fld, fld_rows
 
 
 def _bilinear_sample(grid: Grid2D, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
@@ -433,18 +476,31 @@ def _sup(
     """Max-reduce the (half-length, half-width) ``pairs`` over every direction.
 
     ``point`` adds |f| itself, ``offset_steps`` the off-center rectangles.
-    Every ladder starts at its first level (the direct/cascade choice and
-    the node count depend on the level index) and stops at its last in use.
-    Each candidate is max-reduced over its nonzero row band only, which is
-    exact because the result and every candidate are >= +0.0.
+    Per direction, one column ladder (along the perpendicular) builds the
+    positive half-widths in use, and one ladder per half-width builds the
+    half-lengths paired with it; each skips the levels that are neither in
+    use nor a cascade predecessor.  Stencils are kept for the whole call, so
+    the ladders of one direction share them.  Only |f| has its row band
+    scanned; every field carries the band its adds touched, and each
+    candidate is max-reduced over that band only, which is exact because the
+    result and every candidate are >= +0.0.
     """
     if len(omega) == 0:
         raise InvalidArgument("direction set must be nonempty")
     src = np.abs(f.values, order="C")  # the shift-add kernel needs C order
+    band = _row_band(src)
     out = src.copy() if point else np.zeros_like(src)
-    longest = {w: max(d for d, v in pairs if v == w) for _, w in pairs}
-    col_radii = _column_ladder_radii(cfg) if max(longest) > 0.0 else ()
-    spu, cap, h = cfg.samples_per_unit, cfg.direct_nodes_cap, f.spacing
+    lengths: dict = {}  # half-width -> the half-lengths paired with it
+    for d, w in pairs:
+        lengths.setdefault(w, set()).add(d)
+    widths = {w for w in lengths if w > 0.0}
+    col_radii = _column_ladder_radii(cfg)
+    stencil = functools.cache(functools.partial(_stencil, spacing=f.spacing))
+
+    def ladder(base, rows, e, radii, wanted):
+        return _avg_field_ladder(
+            base, rows, e, radii, wanted, cfg.samples_per_unit, cfg.direct_nodes_cap, stencil
+        )
 
     def shifts(half: float) -> list[float]:
         # quarter-step offsets of the full side (length 2 * half)
@@ -454,22 +510,18 @@ def _sup(
     for s in omega.values:
         e = direction_vector(s)
         ep = direction_vector((s + 0.25) % 1.0)
-        columns = {0.0: src}
-        columns.update(_avg_field_ladder(src, ep, col_radii, h, spu, cap))
-        for w, top in longest.items():
-            ladder = tuple(r for r in cfg.radii if r <= top)
-            for delta, fld in _avg_field_ladder(columns[w], e, ladder, h, spu, cap):
-                if (delta, w) not in pairs:
-                    continue
-                rows = _row_band(fld)
+        columns = {0.0: (src, band)}
+        for w, col, rows in ladder(src, band, ep, col_radii, widths):
+            columns[w] = col, rows
+        for w, deltas in lengths.items():
+            for delta, fld, rows in ladder(*columns[w], e, cfg.radii, deltas):
                 for o1, o2 in itertools.product(shifts(delta), shifts(w)):
                     cand, (r0, r1) = fld, rows
                     if o1 or o2:
                         cand = np.zeros_like(src)
-                        cx = (o1 * e[0] + o2 * ep[0]) / h
-                        cy = (o1 * e[1] + o2 * ep[1]) / h
-                        _bilinear_shift_add(cand, fld, cx, cy, 1.0, rows)
-                        r0, r1 = _row_band(cand)
+                        cx = (o1 * e[0] + o2 * ep[0]) / f.spacing
+                        cy = (o1 * e[1] + o2 * ep[1]) / f.spacing
+                        r0, r1 = _shift_add(cand, fld, _corners(cx, cy, 1.0), rows)
                     np.maximum(out[r0:r1], cand[r0:r1], out=out[r0:r1])
     return f.with_values(out)
 

@@ -338,6 +338,12 @@ def _sweep_cfg(spacing: float, size: int) -> OperatorConfig:
     )
 
 
+def _check_size(size: int, smallest: int) -> None:
+    """Reject a grid side below the smallest a sweep can run on."""
+    if not size >= smallest:
+        raise InvalidArgument(f"size must be >= {smallest}, got {size}")
+
+
 def _sweep(
     mode: str,
     cases: Sequence[tuple[int, DirectionSet, float]],
@@ -370,6 +376,7 @@ def sweep_N(
     resolved along unit-scale segments; radii span two grid steps up to half
     the grid extent.
     """
+    _check_size(size, 2)  # generate renders on at least 2 x 2 samples
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise InvalidArgument("direction counts must be increasing")
     omegas = [uniform_directions(n) for n in ns]  # rejects n < 1 before 1 / (8n)
@@ -394,6 +401,8 @@ def sweep_mu(
     over its own extent, and deeper completions merely add sub-resolution
     duplicates that flatten the measured ratios while sqrt(mu) keeps growing.
     """
+    # the spacing is 4 / size, and round(size / 4) samples per unit must be >= 1
+    _check_size(size, 3)
     if any(b <= a for a, b in zip(mus, mus[1:])):
         raise InvalidArgument("orders must be increasing")
     size = int(size)

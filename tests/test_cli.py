@@ -206,12 +206,23 @@ class TestExitCodes:
              "R must be a positive real, got inf"),
             (["sweep", "--mode", "N", "--values", "0", "--ops", "m1", "--family", "disk",
               "--size", "32"], "n must be >= 1"),
+            (["sweep", "--mode", "mu", "--values", "1", "--size", "0"], "size must be >= 3, got 0"),
+            (["sweep", "--mode", "mu", "--values", "1", "--size", "-4"],
+             "size must be >= 3, got -4"),
+            (["sweep", "--mode", "mu", "--values", "1", "--size", "1"], "size must be >= 3, got 1"),
+            (["sweep", "--mode", "mu", "--values", "1", "--size", "2"], "size must be >= 3, got 2"),
+            (["sweep", "--mode", "N", "--values", "4", "--size", "0"], "size must be >= 2, got 0"),
+            (["sweep", "--mode", "N", "--values", "4", "--size", "-4"],
+             "size must be >= 2, got -4"),
+            (["sweep", "--mode", "N", "--values", "4", "--size", "1"], "size must be >= 2, got 1"),
         ],
         ids=["binary-gap-above-one", "binary-gap-negative", "chain-gap-above-one",
              "binary-domain", "decomposition-gap", "decomposition-not-nested",
              "kernel-r-zero", "kernel-bump-r", "kernel-zeta-h", "apply-no-directions",
              "support-R-zero", "support-R-negative", "support-R-nan", "support-R-inf",
-             "sweep-n-zero"],
+             "sweep-n-zero", "sweep-mu-size-zero", "sweep-mu-size-negative",
+             "sweep-mu-size-one", "sweep-mu-size-two", "sweep-n-size-zero",
+             "sweep-n-size-negative", "sweep-n-size-one"],
     )
     def test_malformed_input_corpus(
         self, grid_file, dirs_file, tmp_path, capsys, recwarn, argv, message

@@ -4,7 +4,6 @@ import functools
 import math
 import struct
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,11 +18,10 @@ from dirmax.grid_ops import (
     _avg_field_ladder,
     _base_segments,
     _bilinear_sample,
-    _bilinear_shift_add,
     _column_ladder_radii,
     _row_band,
     _shift_add,
-    _trapezoid_field,
+    _stencil,
     chain_check,
     direction_vector,
     directional_avg,
@@ -169,7 +167,7 @@ class TestShiftAdd:
         ref = rng.standard_normal((h, wdt))
         out = ref.copy()
         _slice_shift_add(ref, src, di, dj, w)
-        _shift_add(out, src, di, dj, w)
+        _shift_add(out, src, [(di, dj, w)], (0, h))
         assert out.tobytes() == ref.tobytes()
 
     @given(
@@ -202,8 +200,11 @@ class TestShiftAdd:
         _slice_shift_add(ref, src, di, dj, w)
         for rows in ((r0, r1), _row_band(src)):
             out = before.copy()
-            _shift_add(out, src, di, dj, w, rows)
+            lo, hi = _shift_add(out, src, [(di, dj, w)], rows)
             assert out.tobytes() == ref.tobytes(), rows
+            # the returned hull holds every row the add changed
+            assert out[:lo].tobytes() == before[:lo].tobytes()
+            assert out[hi:].tobytes() == before[hi:].tobytes()
 
     def test_row_band(self):
         a = np.zeros((6, 4))
@@ -216,7 +217,7 @@ class TestShiftAdd:
     def test_rejects_fortran_order(self):
         out = np.asfortranarray(np.zeros((4, 6)))
         with pytest.raises(ValueError):
-            _shift_add(out, np.ones((4, 6)), 1, 1, 1.0)
+            _shift_add(out, np.ones((4, 6)), [(1, 1, 1.0)], (0, 4))
 
 
 class TestDirectionalAvg:
@@ -293,19 +294,41 @@ class TestM0:
             m0(smooth_grid(0), DirectionSet(()))
 
 
-def _full_rows(reference):
-    """Run a reference on the engine with every shift-add over all rows, as
-    before the row bands: every source band is taken to be the whole grid."""
+def _ref_bilinear_shift_add(out, src, cx, cy, w, add=_slice_shift_add):
+    """out += w * (src sampled at lattice points shifted by (cx, cy) grid
+    units), one 2-D slice add per corner: the slow reference."""
+    jx, fy_x = math.floor(cx), cx - math.floor(cx)
+    iy, fy_y = math.floor(cy), cy - math.floor(cy)
+    add(out, src, iy, jx, w * (1 - fy_x) * (1 - fy_y))
+    add(out, src, iy, jx + 1, w * fy_x * (1 - fy_y))
+    add(out, src, iy + 1, jx, w * (1 - fy_x) * fy_y)
+    add(out, src, iy + 1, jx + 1, w * fy_x * fy_y)
 
-    @functools.wraps(reference)
-    def run(*args, **kwargs):
-        with mock.patch("dirmax.grid_ops._row_band", lambda a: (0, a.shape[0])):
-            return reference(*args, **kwargs)
 
-    return run
+def _ref_trapezoid_field(src, e, delta, n_seg, spacing, add=_slice_shift_add):
+    """Reference: the composite-trapezoid centered line average, node by node
+    over all rows."""
+    out = np.zeros_like(src)
+    step = 2.0 * delta / n_seg
+    for k in range(n_seg + 1):
+        t = -delta + k * step
+        w = (0.5 if k in (0, n_seg) else 1.0) / n_seg
+        _ref_bilinear_shift_add(out, src, t * e[0] / spacing, t * e[1] / spacing, w, add)
+    return out
 
 
-@_full_rows
+def _ref_avg_field_ladder(src, e, radii, spacing, spu, direct_cap):
+    """Reference: every level of the dyadic ladder, direct up to the node
+    cap and cascaded from the previous level past it."""
+    for k, delta in enumerate(radii):
+        n_seg = _base_segments(radii[0], spu) * 2**k
+        if k == 0 or n_seg + 1 <= direct_cap:
+            fld = _ref_trapezoid_field(src, e, delta, n_seg, spacing)
+        else:  # the one-segment rule over the previous level: nodes -+ delta / 2
+            fld = _ref_trapezoid_field(fld, e, delta / 2.0, 1, spacing)
+        yield delta, fld
+
+
 def _two_branch_m0(f: Grid2D, omega: DirectionSet, cfg=None) -> np.ndarray:
     """Reference: m0 with a ladder branch for 1.0 in the radii and a direct
     trapezoid branch otherwise."""
@@ -315,14 +338,14 @@ def _two_branch_m0(f: Grid2D, omega: DirectionSet, cfg=None) -> np.ndarray:
         e = direction_vector(s)
         if cfg is not None and 1.0 in cfg.radii:
             ladder = [r for r in cfg.radii if r <= 1.0]
-            for delta, fld in _avg_field_ladder(
+            for delta, fld in _ref_avg_field_ladder(
                 src, e, ladder, f.spacing, cfg.samples_per_unit, cfg.direct_nodes_cap
             ):
                 if delta == 1.0:
                     np.maximum(out, fld, out=out)
         else:
             spu = cfg.samples_per_unit if cfg else max(1, round(1.0 / f.spacing))
-            fld = _trapezoid_field(src, e, 1.0, _base_segments(1.0, spu), f.spacing)
+            fld = _ref_trapezoid_field(src, e, 1.0, _base_segments(1.0, spu), f.spacing)
             np.maximum(out, fld, out=out)
     return out
 
@@ -359,14 +382,13 @@ class TestM0Reference:
         assert got.tobytes() == _two_branch_m0(f, omega, cfg).tobytes()
 
 
-@_full_rows
 def _loop_m1(f: Grid2D, omega: DirectionSet, cfg: OperatorConfig) -> np.ndarray:
     """Reference: m1 as its own loop over directions and the radius ladder."""
     src = np.abs(f.values, order="C")
     out = src.copy()
     for s in omega.values:
         e = direction_vector(s)
-        for _delta, fld in _avg_field_ladder(
+        for _delta, fld in _ref_avg_field_ladder(
             src, e, cfg.radii, f.spacing, cfg.samples_per_unit, cfg.direct_nodes_cap
         ):
             np.maximum(out, fld, out=out)
@@ -379,7 +401,6 @@ def _loop_offsets(cfg: OperatorConfig, half: float) -> list[float]:
     return [k * half / 2.0 for k in range(-cfg.offset_steps, cfg.offset_steps + 1)]
 
 
-@_full_rows
 def _loop_m2(f: Grid2D, omega: DirectionSet, cfg: OperatorConfig) -> np.ndarray:
     """Reference: m2 as its own loop over directions, column widths, lengths
     and offsets."""
@@ -390,7 +411,7 @@ def _loop_m2(f: Grid2D, omega: DirectionSet, cfg: OperatorConfig) -> np.ndarray:
         e = direction_vector(s)
         ep = direction_vector((s + 0.25) % 1.0)
         columns = {0.0: src}
-        for wdt, fld in _avg_field_ladder(
+        for wdt, fld in _ref_avg_field_ladder(
             src, ep, col_radii, f.spacing, cfg.samples_per_unit, cfg.direct_nodes_cap
         ):
             columns[wdt] = fld
@@ -400,7 +421,7 @@ def _loop_m2(f: Grid2D, omega: DirectionSet, cfg: OperatorConfig) -> np.ndarray:
             else:
                 top = wdt * 2.0**cfg.aspect_levels
                 ladder = tuple(r for r in cfg.radii if r <= top)
-            for delta, fld in _avg_field_ladder(
+            for delta, fld in _ref_avg_field_ladder(
                 col, e, ladder, f.spacing, cfg.samples_per_unit, cfg.direct_nodes_cap
             ):
                 if wdt not in cfg.widths_for(delta):
@@ -413,7 +434,7 @@ def _loop_m2(f: Grid2D, omega: DirectionSet, cfg: OperatorConfig) -> np.ndarray:
                             cand = np.zeros_like(src)
                             cx = (o1 * e[0] + o2 * ep[0]) / f.spacing
                             cy = (o1 * e[1] + o2 * ep[1]) / f.spacing
-                            _bilinear_shift_add(cand, fld, cx, cy, 1.0)
+                            _ref_bilinear_shift_add(cand, fld, cx, cy, 1.0)
                             np.maximum(out, cand, out=out)
     return out
 
@@ -468,8 +489,8 @@ def operator_cases(draw, unit_radius=None, offsets=True):
 
 
 class TestLoopReferences:
-    """The operators match their former per-operator loops, run over all rows,
-    bit for bit."""
+    """The operators match their former per-operator loops, built node by
+    node over all rows, bit for bit."""
 
     @given(case=operator_cases())
     @settings(max_examples=40, deadline=None)
@@ -495,6 +516,95 @@ class TestLoopReferences:
         f, _omega, cfg = case
         axes = DirectionSet((0.0, 0.25))
         assert strong_maximal(f, cfg).values.tobytes() == _loop_m2(f, axes, cfg).tobytes()
+
+
+@st.composite
+def ladder_cases(draw):
+    """A random sparse nonnegative grid and its row band, a direction (an
+    axis or not), a dyadic ladder, a sampling density and a node cap of 1, 9
+    or 129, on the spacing 1/8."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (draw(st.integers(4, 20)), draw(st.integers(4, 20)))
+    fill = draw(st.sampled_from([0.02, 0.1, 0.4]))
+    src = rng.uniform(0.0, 1.0, shape) * (rng.uniform(size=shape) < fill)
+    s = draw(st.one_of(
+        st.sampled_from([0.0, 0.25, 0.5, 0.75]), st.floats(0.0, 1.0, exclude_max=True)
+    ))
+    base = draw(st.sampled_from([0.125, 0.25, 0.3]))
+    radii = tuple(base * 2.0**k for k in range(draw(st.integers(1, 4))))
+    spu = draw(st.sampled_from([4, 8, 16]))
+    cap = draw(st.sampled_from([1, 9, 129]))
+    return src, direction_vector(s), radii, spu, cap
+
+
+class TestLadderEngine:
+    """Per-call stencils, carried row bands and skipped ladder levels."""
+
+    SPACING = 1 / 8
+
+    def _ladder(self, src, e, radii, wanted, spu, cap):
+        stencil = functools.partial(_stencil, spacing=self.SPACING)
+        return list(_avg_field_ladder(src, _row_band(src), e, radii, wanted, spu, cap, stencil))
+
+    @given(case=ladder_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_carried_bands_hold_every_nonzero_row(self, case):
+        src, e, radii, spu, cap = case
+        ref = _ref_avg_field_ladder(src, e, radii, self.SPACING, spu, cap)
+        for (delta, fld, (r0, r1)), (d_ref, f_ref) in zip(
+            self._ladder(src, e, radii, set(radii), spu, cap), ref, strict=True
+        ):
+            assert delta == d_ref
+            assert fld.tobytes() == f_ref.tobytes()
+            assert not fld[:r0].any() and not fld[r1:].any(), (delta, r0, r1)
+
+    @given(case=ladder_cases(), cascade=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_stencils_list_the_per_node_corners(self, case, cascade):
+        src, e, radii, spu, _cap = case
+        delta, n_seg = (radii[0] / 2.0, 1) if cascade else (
+            radii[-1], _base_segments(radii[0], spu) * 2 ** (len(radii) - 1)
+        )
+        added = []
+
+        def record(out, src, di, dj, w):
+            if w != 0.0:
+                added.append((di, dj, w))
+
+        _ref_trapezoid_field(src, e, delta, n_seg, self.SPACING, add=record)
+        got = _stencil(e, delta, n_seg, self.SPACING)
+        assert [c[:2] for c in got] == [c[:2] for c in added]
+        assert np.array([c[2] for c in got]).tobytes() == np.array(
+            [c[2] for c in added]
+        ).tobytes()
+
+    @given(case=ladder_cases(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_skipping_ladder_matches_full_ladder(self, case, data):
+        src, e, radii, spu, cap = case
+        wanted = data.draw(st.sets(st.sampled_from(radii)))
+        full = {d: (fld, rows) for d, fld, rows in self._ladder(src, e, radii, set(radii), spu, cap)}
+        got = self._ladder(src, e, radii, wanted, spu, cap)
+        assert [d for d, _, _ in got] == [d for d in radii if d in wanted]
+        for delta, fld, rows in got:
+            assert fld.tobytes() == full[delta][0].tobytes()
+            assert rows == full[delta][1]
+
+    @pytest.mark.parametrize("cap, built", [(129, 1), (9, 3)])
+    def test_builds_only_levels_in_use(self, cap, built):
+        # m0 under the (0.25, 0.5, 1.0) ladder at 16 samples per unit: the
+        # 33-node unit level is direct under cap 129, and under cap 9 it is
+        # cascaded from both levels below it
+        rules = []
+
+        def stencil(e, delta, n_seg):
+            rules.append((delta, n_seg))
+            return _stencil(e, delta, n_seg, 1 / 16)
+
+        src = np.abs(smooth_grid(0).values)
+        e = direction_vector(0.1)
+        list(_avg_field_ladder(src, _row_band(src), e, (0.25, 0.5, 1.0), {1.0}, 16, cap, stencil))
+        assert len(rules) == built
 
 
 class TestM1:
