@@ -35,6 +35,7 @@ from .lacunary import (
     DirectionSet,
     LacunaryDecomposition,
     RankInterval,
+    _json_numbers,
     _read_json,
     binary_decomposition,
     build_decomposition,
@@ -74,16 +75,6 @@ def _write_text(path: Optional[str], text: str) -> None:
         _atomic_write(path, lambda tmp: Path(tmp).write_bytes(text.encode()))
 
 
-def _numbers(data, what: str) -> list[float]:
-    """The JSON array ``data`` as floats; InvalidArgument naming ``what`` if not."""
-    if isinstance(data, list):
-        try:
-            return [float(v) for v in data]
-        except (TypeError, ValueError):
-            pass
-    raise InvalidArgument(f"{what} must be a JSON array of numbers")
-
-
 def _parse_list(text: str, flag: str, kind=float, count: Optional[int] = None) -> list:
     """The comma-separated values of ``flag`` as ``kind``; InvalidArgument if not."""
     try:
@@ -115,7 +106,7 @@ def _cmd_decompose(args) -> int:
         for flag, value in (("--domain", domain), ("--gap", args.gap)):
             if value is not None:
                 raise InvalidArgument(f"{flag} applies to chain mode only")
-        decomp = binary_decomposition(_numbers(data, "binary mode input"))
+        decomp = binary_decomposition(_json_numbers(data, "binary mode input"))
     else:
         if isinstance(data, dict):
             if "chain" not in data:
@@ -123,7 +114,7 @@ def _cmd_decompose(args) -> int:
             data = data["chain"]
         if not isinstance(data, list):
             raise InvalidArgument("chain mode expects a JSON array of slope arrays")
-        stages = [_numbers(stage, "each chain stage") for stage in data]
+        stages = [_json_numbers(stage, "each chain stage") for stage in data]
         decomp = build_decomposition(stages, 0.5 if args.gap is None else args.gap, domain)
     _write_text(args.out, json.dumps(decomp.to_json(), sort_keys=True, indent=1) + "\n")
     return 0
@@ -210,10 +201,10 @@ def _cmd_check_support(args) -> int:
         raise InvalidArgument(
             f"{args.chain}: expected a JSON array of {{lo, hi, pole}} objects ({exc!r})"
         ) from None
-    num = (int, float)  # JSON numbers; bool is a subclass of int, so test exact types
-    if not all(type(lo) in num and type(hi) in num and (pole is None or type(pole) in num)
-               for lo, hi, pole in rows):
-        raise InvalidArgument(f"{args.chain}: interval lo, hi and pole must be JSON numbers")
+    los, his, poles = list(zip(*rows)) or [()] * 3
+    for name, col in (("lo", los), ("hi", his), ("pole", [p for p in poles if p is not None])):
+        _json_numbers(col, f"{args.chain}: interval {name} values")
+    # the numbers as given, so that an integer pole is written back as one
     chain = [RankInterval(lo, hi, k + 1, pole) for k, (lo, hi, pole) in enumerate(rows)]
     rep = support_containment_check(chain, args.theta, args.R, samples=args.samples)
     payload = {

@@ -85,7 +85,10 @@ def _rng_for(spec_seed: int, stream: int) -> np.random.Generator:
 def generate(spec: TestFunctionSpec, width: int, height: int, spacing: float) -> Grid2D:
     """Render a test-function spec on a grid; deterministic for a given spec."""
     if width < 2 or height < 2 or spacing <= 0:
-        raise InvalidArgument("grid dimensions must be positive")
+        raise InvalidArgument(
+            f"grid needs at least 2 x 2 samples and a positive spacing, "
+            f"got {width} x {height} at spacing {spacing}"
+        )
     g = Grid2D(np.zeros((height, width)), spacing)
     x1, x2 = g.coords()
     xx = x1[None, :]

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
@@ -102,12 +103,7 @@ class DirectionSet:
 
     @staticmethod
     def from_json(data) -> "DirectionSet":
-        if not isinstance(data, (list, tuple)):
-            raise InvalidArgument("a direction set is a JSON array of numbers")
-        try:
-            return DirectionSet(tuple(float(v) for v in data))
-        except (TypeError, ValueError) as exc:
-            raise InvalidArgument(f"malformed direction set: {exc}") from None
+        return DirectionSet(tuple(_json_numbers(data, "a direction set").tolist()))
 
 
 def perpendicular(directions: DirectionSet) -> DirectionSet:
@@ -330,19 +326,19 @@ class LacunaryDecomposition:
     @staticmethod
     def from_json(data: dict) -> "LacunaryDecomposition":
         try:
-            chain = [[float(v) for v in s] for s in data["chain"]]
+            chain = [_json_numbers(s, "each chain set") for s in data["chain"]]
             lo, hi, rank, pole = _rank_columns(data["rank_intervals"])
-            domain = _as_floats(
-                data["domain"] if "domain" in data else (min(chain[-1]), max(chain[-1]))
-            )
-            if len(domain) != 2 or not domain[0] < domain[1]:
-                raise ValueError(f"domain {list(domain)} is not [lo, hi] with lo < hi")
-            poles = _as_floats(data.get("poles", np.unique(pole[~np.isnan(pole)])))
-            gap = float(data["gap"])
+            domain = _json_numbers(data["domain"], "domain") if "domain" in data else None
+            tags = np.unique(pole[~np.isnan(pole)])
+            poles = _json_numbers(data["poles"], "poles") if "poles" in data else tags
+            (gap,) = _json_numbers([data["gap"]], "gap").tolist()
         except KeyError as exc:
             raise InvalidArgument(f"decomposition JSON lacks the key {exc}") from None
-        except (AttributeError, IndexError, OverflowError, TypeError, ValueError) as exc:
+        except (AttributeError, TypeError) as exc:
             raise InvalidArgument(f"malformed decomposition JSON: {exc}") from None
+        if domain is not None and (len(domain) != 2 or not domain[0] < domain[1]):
+            raise InvalidArgument(f"domain {domain.tolist()} is not [lo, hi] with lo < hi")
+        poles = tuple(poles.tolist())
         _check_gap(gap)
         sets, domain = _check_chain(chain, domain)
         _check_rank_arrays(sets, domain, lo, hi, rank, pole, poles)
@@ -365,6 +361,17 @@ def _read_json(path):
             return json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise InvalidArgument(f"{path}: not valid JSON ({exc})") from None
+
+
+def _json_numbers(value, what: str) -> np.ndarray:
+    """The JSON array ``value`` as floats; InvalidArgument naming ``what`` unless every
+    item is an ``int`` or ``float`` (not a ``bool``) that is finite as a float."""
+    if isinstance(value, (list, tuple)) and {type(v) for v in value} <= {int, float}:
+        with suppress(OverflowError):  # an int beyond the float range
+            arr = np.array(value, dtype=float)
+            if np.isfinite(arr).all():
+                return arr
+    raise InvalidArgument(f"{what} must hold only finite JSON numbers")
 
 
 # ---------------------------------------------------------------------------
@@ -450,16 +457,16 @@ def _check_chain(
 def _rank_columns(rows) -> tuple[np.ndarray, ...]:
     """(lo, hi, rank, pole) float arrays of JSON rank intervals, pole NaN if null.
 
-    Values must be JSON numbers, not booleans.  The first faulty row is then
-    built as a ``RankInterval``, which raises its error.
+    Values must be finite JSON numbers (``_json_numbers``).  The first faulty
+    row is then built as a ``RankInterval``, which raises its error.
     """
     rows = [(d["lo"], d["hi"], d["rank"], d.get("pole")) for d in rows]
     lo, hi, rank, tags = list(zip(*rows)) or [()] * 4
-    for name, col in zip(("lo", "hi", "rank", "pole"), (lo, hi, rank, set(tags) - {None})):
-        if not {type(v) for v in col} <= {int, float}:
-            raise InvalidArgument(f"rank interval {name} values must be numbers")
+    lo, hi, rank = (_json_numbers(c, f"rank interval {n} values")
+                    for n, c in zip(("lo", "hi", "rank"), (lo, hi, rank)))
     tagged = np.array([p is not None for p in tags], dtype=bool)
-    lo, hi, rank, pole = (np.array(c, dtype=float) for c in (lo, hi, rank, tags))
+    pole = np.full(len(tags), math.nan)
+    pole[tagged] = _json_numbers([p for p in tags if p is not None], "rank interval pole values")
     ok = (lo < hi) & (rank >= 1) & (rank == np.floor(rank)) & (~tagged | (lo < pole) & (pole < hi))
     if not ok.all():
         i = ok.argmin()
@@ -582,17 +589,13 @@ def _infer_group(
     return None if found is None else [_StageGroup(stage, found[0], s) for s in found[1]]
 
 
-def build_decomposition(
-    chain: Sequence[Iterable[float]],
-    gap: float,
-    domain: Optional[tuple[float, float]] = None,
-) -> LacunaryDecomposition:
-    """Validate a nested chain of slope sets as a mu-lacunary decomposition.
+def _stage_groups(
+    chain: Sequence[Iterable[float]], gap: float, domain: Optional[Sequence[float]]
+) -> tuple[list[np.ndarray], tuple[float, float], list[_StageGroup]]:
+    """The checked chain (``_check_chain``), its domain, and its stage groups.
 
     Every group of added points falling in one adjacent interval of the
-    previous stage must admit a pole with the given gap (found via
-    ``infer_pole``); rank intervals are populated and each one of rank
-    <= mu-1 receives the first pole that appeared inside it.
+    previous stage must admit a pole with the given gap (``infer_pole``).
     """
     _check_gap(gap)
     sets, domain = _check_chain(chain, domain)
@@ -615,6 +618,20 @@ def build_decomposition(
                 f"stage {stage}: added points {stray} fall on stage boundaries or "
                 "outside the domain"
             )
+    return sets, domain, groups
+
+
+def build_decomposition(
+    chain: Sequence[Iterable[float]],
+    gap: float,
+    domain: Optional[tuple[float, float]] = None,
+) -> LacunaryDecomposition:
+    """Validate a nested chain of slope sets as a mu-lacunary decomposition.
+
+    Rank intervals of rank <= mu-1 receive the first pole of the chain's
+    stage groups (``_stage_groups``) that appeared inside them.
+    """
+    sets, domain, groups = _stage_groups(chain, gap, domain)
     return _assemble([tuple(s.tolist()) for s in sets], gap, domain, groups)
 
 
@@ -777,7 +794,7 @@ def complete_decomposition(decomp: LacunaryDecomposition) -> LacunaryDecompositi
     # feasible once gaps > 1/2 have been reindexed away.
     eff = min(lam, 0.5)
     batches: list[list[float]] = [[] for _ in range(decomp.order * n_sub)]
-    for g in build_decomposition(decomp.chain, lam, domain).groups:
+    for g in _stage_groups(decomp.chain, lam, domain)[2]:
         for i in range(n_sub):
             batches[(g.stage - 1) * n_sub + i].extend(g.points[i::n_sub])
 
@@ -836,11 +853,11 @@ def staged_complete_decomposition(
     points join the set in one sort-unique step.  A complete profile keeps
     first fractions in [1/2, 1) and ratios in [1/4, 1/2).
 
-    Draw order: ``random_complete_decomposition`` draws each stage with one
-    generator call, in the order of a per-interval loop: for each interval
-    left to right, the fill flag (after stage 1, when filling is random),
-    the pole, then the upper side's first distance and ``depth`` ratios,
-    then the lower side's.
+    Draw order: ``random_complete_decomposition`` draws a stage's fill flags
+    first, one per interval left to right (after stage 1, when filling is
+    random), then the values of each filled interval left to right: the
+    pole, then the upper side's first distance and ``depth`` ratios, then
+    the lower side's.
     """
     if mu < 1:
         raise InvalidArgument("mu must be >= 1")
@@ -868,35 +885,6 @@ def staged_complete_decomposition(
     return _assemble(chain, 0.5, domain, groups)
 
 
-def _filled_draw(
-    rng: np.random.Generator, n: int, low: np.ndarray, high: np.ndarray, fill: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """One stage's values when each of n intervals is filled with probability fill.
-
-    Per interval the stream holds a flag u (filled iff u <= fill) and, if
-    filled, one uniform value per slot of ``low``/``high``.  Which values are
-    flags depends on the flags before them, so the stream is first read as
-    raw doubles (enough for n filled intervals) to walk the flags; then the
-    generator is rewound and draws exactly the values used.  Returns the
-    filled intervals' indices and their values, one row each.
-    """
-    width = len(low)
-    state = rng.bit_generator.state
-    raw = rng.random(n * (width + 1)).tolist()
-    keep, starts, pos = [], [], 0
-    for i in range(n):
-        if raw[pos] <= fill:
-            keep.append(i)
-            starts.append(pos + 1)
-            pos += width
-        pos += 1
-    rng.bit_generator.state = state
-    slots = np.array(starts, dtype=np.intp)[:, None] + np.arange(width)
-    lows, highs = np.zeros(pos), np.ones(pos)  # flags: uniform on [0, 1)
-    lows[slots], highs[slots] = low, high
-    return np.array(keep, dtype=np.intp), rng.uniform(lows, highs)[slots]
-
-
 def random_complete_decomposition(
     rng: np.random.Generator,
     mu: int,
@@ -907,19 +895,21 @@ def random_complete_decomposition(
     """``staged_complete_decomposition`` with a random profile drawn from ``rng``:
     pole at a uniform fraction in [0.3, 0.7] of the interval, first distance a
     uniform fraction in [0.55, 0.95] of the cap, ratios uniform in [0.26, 0.49],
-    and after stage 1 each interval filled with probability ``fill_probability``.
+    and after stage 1 each interval filled with probability ``fill_probability``:
+    a stage draws all its flags (filled iff flag <= probability), then the
+    filled intervals' values, one generator call each.
     """
     side = [(0.55, 0.95)] + [(0.26, 0.49)] * depth
     low, high = np.array([(0.3, 0.7)] + side + side).T  # one interval's slots
 
     def profile(stage, lo, hi):
+        keep = None
         if stage > 1 and fill_probability < 1.0:
-            keep, vals = _filled_draw(rng, len(lo), low, high, fill_probability)
+            keep = np.flatnonzero(rng.random(len(lo)) <= fill_probability)
             lo, hi = lo[keep], hi[keep]
-        else:
-            keep, n = None, len(lo)
-            vals = rng.uniform(np.tile(low, n), np.tile(high, n)).reshape(n, len(low))
+        n = len(lo)
+        vals = rng.uniform(np.tile(low, n), np.tile(high, n)).reshape(n, len(low))
         pole = lo + (hi - lo) * vals[:, 0]
-        return keep, pole, vals[:, 1:].reshape(len(pole), 2, depth + 1)
+        return keep, pole, vals[:, 1:].reshape(n, 2, depth + 1)
 
     return staged_complete_decomposition(mu, depth, profile, domain)

@@ -420,6 +420,11 @@ class ContainmentReport:
         return min((c.corner_margin for c in self.checks), default=math.inf)
 
 
+def _strictly_inside(x: float, j: RankInterval) -> float:
+    """``x`` clamped to the floats strictly inside the open interval ``j``."""
+    return min(max(x, math.nextafter(j.lo, j.hi)), math.nextafter(j.hi, j.lo))
+
+
 def support_containment_check(
     chain: Sequence[RankInterval],
     theta: float,
@@ -458,15 +463,8 @@ def support_containment_check(
             strip = Strip(chain[k - 1].lo, chain[k - 1].hi, chain[k - 1].pole)
         else:
             band = FrequencyBand(r[k - 1], 2.0 * R, theta)
-            center = theta
-            if not (chain[k - 1].lo < center < chain[k - 1].hi):
-                # theta on the interval boundary: the slab test is what matters
-                center = np.clip(
-                    center,
-                    np.nextafter(chain[k - 1].lo, chain[k - 1].hi),
-                    np.nextafter(chain[k - 1].hi, chain[k - 1].lo),
-                )
-            strip = Strip(chain[k - 1].lo, chain[k - 1].hi, float(center))
+            # theta may sit on the interval boundary: the slab test is what matters
+            strip = Strip(chain[k - 1].lo, chain[k - 1].hi, _strictly_inside(theta, chain[k - 1]))
         margin = min(
             strip.half_width - abs(x2 - strip.center * x1)
             for x1, x2 in band.corners()
@@ -572,10 +570,7 @@ def strip_decomposition_report(
     lhs = np.abs(gamma_op(fa, theta, R, h, check_truncation=False).values)
     rhs = strong_maximal(fa, cfg).values.copy()
     last = chain[-1]
-    c_theta = float(
-        np.clip(theta, np.nextafter(last.lo, last.hi), np.nextafter(last.hi, last.lo))
-    )
-    pieces = [(Strip(last.lo, last.hi, c_theta), theta)]
+    pieces = [(Strip(last.lo, last.hi, _strictly_inside(theta, last)), theta)]
     for k in range(n - 1):
         j = chain[k]
         pieces.append((Strip(j.lo, j.hi, j.pole), j.pole))

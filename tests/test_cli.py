@@ -215,6 +215,18 @@ class TestExitCodes:
             (["sweep", "--mode", "N", "--values", "4", "--size", "-4"],
              "size must be >= 2, got -4"),
             (["sweep", "--mode", "N", "--values", "4", "--size", "1"], "size must be >= 2, got 1"),
+            *[(["apply", "--op", "m1", "--grid", "GRID", "--directions", f"DIRS_{kind}"],
+               "a direction set must hold only finite JSON numbers")
+              for kind in ("STRING", "BOOLEAN", "NAN")],
+            *[(["decompose", "--mode", "binary", "--input", f"POINTS_{kind}"],
+               "binary mode input must hold only finite JSON numbers")
+              for kind in ("STRING", "BOOLEAN", "NAN", "HUGE_INT")],
+            *[(["decompose", "--mode", "chain", "--input", f"CHAIN_{kind}"],
+               "each chain stage must hold only finite JSON numbers")
+              for kind in ("STRING", "BOOLEAN")],
+            *[(["overlap", "--decomp", f"DECOMP_{key.upper()}_{kind}"],
+               f"{key} must hold only finite JSON numbers")
+              for key in ("domain", "poles", "gap") for kind in ("STRING", "BOOLEAN")],
         ],
         ids=["binary-gap-above-one", "binary-gap-negative", "chain-gap-above-one",
              "binary-domain", "decomposition-gap", "decomposition-not-nested",
@@ -222,7 +234,13 @@ class TestExitCodes:
              "support-R-zero", "support-R-negative", "support-R-nan", "support-R-inf",
              "sweep-n-zero", "sweep-mu-size-zero", "sweep-mu-size-negative",
              "sweep-mu-size-one", "sweep-mu-size-two", "sweep-n-size-zero",
-             "sweep-n-size-negative", "sweep-n-size-one"],
+             "sweep-n-size-negative", "sweep-n-size-one",
+             "directions-string", "directions-boolean", "directions-nan",
+             "binary-string", "binary-boolean", "binary-nan", "binary-huge-int",
+             "chain-string", "chain-boolean",
+             "decomposition-domain-string", "decomposition-domain-boolean",
+             "decomposition-poles-string", "decomposition-poles-boolean",
+             "decomposition-gap-string", "decomposition-gap-boolean"],
     )
     def test_malformed_input_corpus(
         self, grid_file, dirs_file, tmp_path, capsys, recwarn, argv, message
@@ -246,6 +264,24 @@ class TestExitCodes:
         files = {"DIRS": dirs_file, "GRID": grid_file, "CHAIN": chain,
                  "SLOPE_CHAIN": slope_chain, "DECOMP_GAP_1.5": bad_decomp,
                  "DECOMP_NOT_NESTED": not_nested}
+        # one JSON number rule for every input file: strings, booleans and NaN fail
+        good = random_complete_decomposition(np.random.default_rng(0), 2).to_json()
+        texts = {
+            "DIRS_STRING": '["0.1", 0.5]', "DIRS_BOOLEAN": "[0.1, true]",
+            "DIRS_NAN": "[0.1, NaN]", "POINTS_STRING": '["0.1", 0.5]',
+            "POINTS_BOOLEAN": "[0.1, true, 0.5]", "POINTS_NAN": "[NaN, 0.5]",
+            "POINTS_HUGE_INT": f"[0.1, 1{'0' * 400}]",
+            "CHAIN_STRING": '[["0.25", 0.75]]', "CHAIN_BOOLEAN": "[[0.25, 0.75], [0.25, true]]",
+            "DECOMP_DOMAIN_STRING": json.dumps({**good, "domain": ["0", 1]}),
+            "DECOMP_DOMAIN_BOOLEAN": json.dumps({**good, "domain": [False, 1]}),
+            "DECOMP_POLES_STRING": json.dumps({**good, "poles": [repr(p) for p in good["poles"]]}),
+            "DECOMP_POLES_BOOLEAN": json.dumps({**good, "poles": [*good["poles"], True]}),
+            "DECOMP_GAP_STRING": json.dumps({**good, "gap": "0.5"}),
+            "DECOMP_GAP_BOOLEAN": json.dumps({**good, "gap": True}),
+        }
+        for name, text in texts.items():
+            files[name] = tmp_path / f"{name.lower()}.json"
+            files[name].write_text(text)
         out = tmp_path / "out"
         argv = [str(files.get(a, a)) for a in argv] + ["--out", str(out)]
         assert run(argv) == 1

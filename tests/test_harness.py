@@ -38,6 +38,11 @@ class TestGenerate:
         with pytest.raises(InvalidArgument):
             generate(TestFunctionSpec("disk", radius=0.0), 64, 64, 1 / 16)
 
+    @pytest.mark.parametrize("width, height", [(1, 1), (1, 8), (8, 1), (0, 8), (-2, -2)])
+    def test_grid_below_two_by_two_rejected(self, width, height):
+        with pytest.raises(InvalidArgument, match=f"at least 2 x 2 .* got {width} x {height}"):
+            generate(TestFunctionSpec("disk"), width, height, 1 / 16)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(InvalidArgument):
             TestFunctionSpec("blob")

@@ -436,13 +436,19 @@ def decomposition_bits(d):
 
 
 def _random_stage_loop(rng, mu, depth=1, domain=(0.0, 1.0), fill_probability=1.0):
-    """Reference: the random complete construction as its own stage loop."""
+    """Reference: the random complete construction as its own stage loop.
+
+    A stage draws its fill flags first, one per interval, then loops.
+    """
     current, chain, groups = [], [], []
     for stage in range(1, mu + 1):
         gaps = gap_list(current, domain)
+        filled = [True] * len(gaps)
+        if stage > 1 and fill_probability < 1.0:
+            filled = [rng.random() <= fill_probability for _ in gaps]
         new_pts = []
-        for lo, hi in gaps:
-            if stage > 1 and fill_probability < 1.0 and rng.random() > fill_probability:
+        for (lo, hi), fill in zip(gaps, filled):
+            if not fill:
                 continue
             pole = lo + (hi - lo) * rng.uniform(0.3, 0.7)
             for sign, cap in ((1.0, hi - pole), (-1.0, pole - lo)):
@@ -631,7 +637,8 @@ class TestRankArrays:
             ({"rank": 10**400}, InvalidArgument), ({"rank": None}, InvalidArgument),
             ({"rank": "1"}, InvalidArgument), ({"lo": "0.1"}, InvalidArgument),
             ({"hi": None}, InvalidArgument), ({"pole": "0.5"}, InvalidArgument),
-            ({"pole": 2.0}, ValidationFailure), ({"pole": math.nan}, ValidationFailure),
+            ({"pole": True}, InvalidArgument), ({"pole": math.nan}, InvalidArgument),
+            ({"lo": -math.inf}, InvalidArgument), ({"pole": 2.0}, ValidationFailure),
         ]
         for bad, error in cases:
             broken = json.loads(json.dumps(data))
@@ -697,8 +704,10 @@ class TestRankArrays:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("poles", ["a"]), ("poles", [float("nan")]), ("domain", ["x", 1.0]),
-         ("domain", [0.0]), ("domain", [1.0, 0.0]), ("domain", [0.0, float("inf")])],
+        [("poles", ["a"]), ("poles", [float("nan")]), ("poles", [True]), ("poles", 0.5),
+         ("domain", ["x", 1.0]), ("domain", [0.0]), ("domain", [1.0, 0.0]),
+         ("domain", [0.0, float("inf")]), ("domain", [False, 1]), ("gap", "0.5"),
+         ("gap", True), ("gap", float("nan")), ("chain", [["0.5"]]), ("chain", [[True]])],
     )
     def test_from_json_rejects_malformed_poles_and_domain(self, key, value):
         data = REFERENCE_CORPUS["random-mu2-depth1-fill1.0"]().to_json()
@@ -709,12 +718,13 @@ class TestRankArrays:
     def test_from_json_converts_poles_and_domain_to_floats(self):
         data = REFERENCE_CORPUS["random-mu2-depth1-fill1.0"]().to_json()
         poles = tuple(data["poles"])
-        # the same numbers as text: every pole tag must still be one of them
-        data["poles"] = [repr(p) for p in poles]
+        # JSON integers are numbers; the same numbers as text are not
         data["domain"] = [0, 1]
         d = LacunaryDecomposition.from_json(data)
         assert d.poles == poles and d.domain == (0.0, 1.0)
-        assert all(type(v) is float for v in d.poles + d.domain)
+        assert all(type(v) is float for v in d.poles + d.domain + (d.gap,))
+        with pytest.raises(InvalidArgument, match="poles must hold only finite JSON numbers"):
+            LacunaryDecomposition.from_json({**data, "poles": [repr(p) for p in poles]})
         # without the key, the poles are the distinct interval tags
         del data["poles"]
         tags = {j.pole for j in d.rank_intervals if j.pole is not None}

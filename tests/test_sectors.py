@@ -306,12 +306,24 @@ class TestSectorMultiplier:
         comp = np.fft.ifft2(fhat) - a  # complement projection
         assert float(np.max(np.abs(a + comp - f.values))) < 1e-12
 
-    def test_idempotent(self):
-        f = random_field(2)
-        s = Strip(0.05, 0.9, 0.4)
-        once = sector_multiplier(f, s)
-        twice = sector_multiplier(once, s)
-        assert float(np.max(np.abs(twice.values - once.values))) < 1e-12
+    @settings(max_examples=60, deadline=None)
+    @given(
+        region=st.one_of(
+            st.builds(lambda lo, w, t: Strip(lo, lo + w, lo + t * w),
+                      st.floats(-3, 3), st.floats(0.05, 4), st.floats(0.05, 0.95)),
+            st.builds(lambda lo, w: Sector(lo, lo + w), st.floats(-3, 3), st.floats(0.01, 6)),
+        ),
+        height=st.integers(2, 40),
+        width=st.integers(2, 40),
+        spacing=st.sampled_from([1 / 8, 1 / 2, 1.0]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_idempotent(self, region, height, width, spacing, seed):
+        f = Grid2D(np.random.default_rng(seed).standard_normal((height, width)), spacing)
+        once = sector_multiplier(f, region)
+        twice = sector_multiplier(once, region)
+        scale = float(np.max(np.abs(f.values)))
+        assert float(np.max(np.abs(twice.values - once.values))) <= 1e-12 * scale
 
     def test_parseval_split(self):
         f = random_field(3)
