@@ -18,7 +18,6 @@ from .grid_ops import (
     Grid2D,
     OperatorConfig,
     chain_check,
-    directional_avg,
     gamma_op,
     m0,
     m1,
@@ -61,9 +60,7 @@ from .sectors import (
     Strip,
     domination_ratio,
     max_overlap,
-    overlap_count,
     sector_multiplier,
-    strip_contains,
     support_containment_check,
 )
 

@@ -204,8 +204,11 @@ def _cmd_check_support(args) -> int:
     los, his, poles = list(zip(*rows)) or [()] * 3
     for name, col in (("lo", los), ("hi", his), ("pole", [p for p in poles if p is not None])):
         _json_numbers(col, f"{args.chain}: interval {name} values")
-    # the numbers as given, so that an integer pole is written back as one
-    chain = [RankInterval(lo, hi, k + 1, pole) for k, (lo, hi, pole) in enumerate(rows)]
+    # floats throughout, so that 4 and 4.0 give the same report
+    chain = [
+        RankInterval(float(lo), float(hi), k + 1, None if pole is None else float(pole))
+        for k, (lo, hi, pole) in enumerate(rows)
+    ]
     rep = support_containment_check(chain, args.theta, args.R, samples=args.samples)
     payload = {
         "m": rep.m,

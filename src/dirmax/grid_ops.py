@@ -17,7 +17,12 @@ discrete suprema over one shared family of such averages, each a set of
 
 A candidate (delta, w) is the line average along e_s of the perpendicular
 column average of half-width w (w = 0: of |f|).  Per direction the engine
-builds each ladder once and max-reduces every candidate into one field.
+builds each ladder once and max-reduces every field into each output that
+has it as a candidate.  m2's pass builds every field of m1 (its w = 0
+ladder), of m0 (that ladder's delta = 1 level) and of m1 over the
+perpendicular directions on the column ladder, so operator calls that share
+one ``bank`` get all four from one pass, bit for bit the fields of separate
+calls, as max gives the same bits in any order.
 
 Every m2 rectangle value is a line average (along e_s) of a column field that
 is itself one of the m1 candidates for the perpendicular set, so the pointwise
@@ -43,9 +48,10 @@ Each line average is a stencil: the list of nonzero-weight lattice corners
 (di, dj, w) that the composite rule's bilinear reads add, node by node.  An
 operator call builds each (direction, half-length, segments) stencil once
 and shares it between every ladder that needs it; no stencil outlives the
-call.  A ladder builds only the levels in use: a level that is neither a
-candidate nor the predecessor of a cascaded level is skipped, and every
-level built is bit for bit the one of the full ladder.
+call, and no field outlives its direction (only the bank's max-reduced
+grids outlive a call).  A ladder builds only the levels in use: a level
+that is neither a candidate nor the predecessor of a cascaded level is
+skipped, and every level built is bit for bit the one of the full ladder.
 
 Every shift-add is bounded to the row band [r0, r1) where its source is
 nonzero.  Only |f| is scanned for its band (one ``any(axis=1)`` per operator
@@ -53,8 +59,8 @@ call); every other field carries the hull of the output rows its adds
 touched, down the ladder and into the max-reduction, where each candidate
 is max-reduced into the result over its own band only.  This is exact, not
 an approximation, because every engine field is built from ``np.abs`` and
-``zeros_like`` by adding w * source with w >= 0, so it is nonnegative and
-never -0.0: a skipped row would only have received x + (+0.0) == x, and
+zeros by adding w * source with w >= 0, so it is nonnegative and never
+-0.0: a skipped row would only have received x + (+0.0) == x, and
 max(x, +0.0) == x.  An all-zero field (say a cascaded level whose shift
 passes the grid side) carries the empty band and costs no adds.
 
@@ -83,7 +89,6 @@ from .lacunary import DirectionSet, perpendicular
 __all__ = [
     "Grid2D",
     "OperatorConfig",
-    "directional_avg",
     "m0",
     "m1",
     "m2",
@@ -295,7 +300,7 @@ def _shift_add(
     r1) promises that src is zero outside its rows [r0, r1), so a corner adds
     only to the output rows reading them, [r0 - di, r1 - di).  That is bit
     for bit the full add when out holds no -0.0, as no engine field does
-    (they are nonnegative sums started from ``zeros_like``): each skipped
+    (they are nonnegative sums started from zeros): each skipped
     row would only get x + (w * 0.0), which is x unless x is -0.0.  For a
     field started from zeros, the returned hull is therefore a row band of
     it that the next shift-add can be given.
@@ -408,59 +413,15 @@ def _avg_field_ladder(
             corners, base, base_rows = stencil(e, delta, n_seg), src, rows
         else:  # the one-segment rule over the previous level: nodes -+ delta / 2
             corners, base, base_rows = stencil(e, delta / 2.0, 1), fld, fld_rows
-        fld = np.zeros_like(src)
+        fld = np.zeros(src.shape, src.dtype)
         fld_rows = _shift_add(fld, base, corners, base_rows)
         if delta in wanted:
             yield delta, fld, fld_rows
 
 
-def _bilinear_sample(grid: Grid2D, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-    """Sample the grid at physical points with bilinear weights, zero outside."""
-    v = grid.values
-    h, w = v.shape
-    cx = (np.asarray(x1) - grid.origin[0]) / grid.spacing
-    cy = (np.asarray(x2) - grid.origin[1]) / grid.spacing
-    j0 = np.floor(cx).astype(int)
-    i0 = np.floor(cy).astype(int)
-    fx, fy = cx - j0, cy - i0
-    out = np.zeros(np.broadcast(cx, cy).shape)
-    for di, dj, ww in ((0, 0, (1 - fx) * (1 - fy)), (0, 1, fx * (1 - fy)),
-                       (1, 0, (1 - fx) * fy), (1, 1, fx * fy)):
-        ii, jj = i0 + di, j0 + dj
-        ok = (ii >= 0) & (ii < h) & (jj >= 0) & (jj < w)
-        out += np.where(ok, v[np.clip(ii, 0, h - 1), np.clip(jj, 0, w - 1)] * ww, 0.0)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # public operators
 # ---------------------------------------------------------------------------
-
-
-def directional_avg(
-    f: Grid2D,
-    s: float,
-    delta: float,
-    x: tuple[float, float],
-    samples_per_unit: Optional[int] = None,
-) -> float:
-    """Centered average of |f| along e_s with half-length delta at the point x.
-
-    Composite trapezoid rule with bilinear interpolation and zero extension;
-    the default sampling density is one node per grid step.
-    """
-    if not (delta > 0):
-        raise InvalidArgument("delta must be positive")
-    spu = max(1, round(1.0 / f.spacing)) if samples_per_unit is None else samples_per_unit
-    if spu < 1:
-        raise InvalidArgument("samples_per_unit must be >= 1")
-    e = direction_vector(s)
-    n_seg = _base_segments(delta, spu)
-    ts = np.linspace(-delta, delta, n_seg + 1)
-    w = np.full(n_seg + 1, 1.0 / n_seg)
-    w[0] = w[-1] = 0.5 / n_seg
-    vals = _bilinear_sample(f.abs(), x[0] + ts * e[0], x[1] + ts * e[1])
-    return float(np.dot(w, vals))
 
 
 def _column_ladder_radii(cfg: OperatorConfig) -> tuple[float, ...]:
@@ -469,31 +430,29 @@ def _column_ladder_radii(cfg: OperatorConfig) -> tuple[float, ...]:
     return tuple(w_min * 2.0**k for k in range(cfg.aspect_levels + len(cfg.radii)))
 
 
-def _sup(
-    f: Grid2D, omega: DirectionSet, cfg: OperatorConfig, pairs: frozenset,
-    point: bool = True, offset_steps: int = 0,
-) -> Grid2D:
-    """Max-reduce the (half-length, half-width) ``pairs`` over every direction.
+def _sup(f: Grid2D, omega: DirectionSet, cfg: OperatorConfig, ops: Sequence) -> list[Grid2D]:
+    """Max-reduce each op's candidates over every direction in one pass; one
+    field per op, in order.  An op is (pairs, offset_steps): the pair
+    (delta, w) is the line average along e_s, of half-length delta, of the
+    column field of half-width w (delta = 0: the column field; w = 0: |f|).
 
-    ``point`` adds |f| itself, ``offset_steps`` the off-center rectangles.
-    Per direction, one column ladder (along the perpendicular) builds the
-    positive half-widths in use, and one ladder per half-width builds the
-    half-lengths paired with it; each skips the levels that are neither in
-    use nor a cascade predecessor.  Stencils are kept for the whole call, so
-    the ladders of one direction share them.  Only |f| has its row band
-    scanned; every field carries the band its adds touched, and each
-    candidate is max-reduced over that band only, which is exact because the
-    result and every candidate are >= +0.0.
+    Per direction, one column ladder builds every positive half-width some op
+    uses, and one ladder per half-width every half-length some op pairs with
+    it, skipping the levels neither in use nor a cascade predecessor.  Each
+    field is max-reduced into every op that has it as a candidate, over the
+    row band its adds touched (exact, as every field is >= +0.0), and none
+    outlives its direction.  The ladders of one direction share stencils.
     """
     if len(omega) == 0:
         raise InvalidArgument("direction set must be nonempty")
     src = np.abs(f.values, order="C")  # the shift-add kernel needs C order
     band = _row_band(src)
-    out = src.copy() if point else np.zeros_like(src)
-    lengths: dict = {}  # half-width -> the half-lengths paired with it
-    for d, w in pairs:
+    outs = [src.copy() if (0.0, 0.0) in pairs else np.zeros(src.shape, src.dtype)
+            for pairs, _ in ops]
+    widths = {w for pairs, _ in ops for _, w in pairs if w > 0.0}
+    lengths: dict = {}  # half-width -> the positive half-lengths paired with it
+    for d, w in {p for pairs, _ in ops for p in pairs if p[0] > 0.0}:
         lengths.setdefault(w, set()).add(d)
-    widths = {w for w in lengths if w > 0.0}
     col_radii = _column_ladder_radii(cfg)
     stencil = functools.cache(functools.partial(_stencil, spacing=f.spacing))
 
@@ -502,10 +461,25 @@ def _sup(
             base, rows, e, radii, wanted, cfg.samples_per_unit, cfg.direct_nodes_cap, stencil
         )
 
-    def shifts(half: float) -> list[float]:
+    def shifts(half: float, steps: int) -> list[float]:
         # quarter-step offsets of the full side (length 2 * half)
-        n = offset_steps if half else 0
+        n = steps if half else 0
         return [k * half / 2.0 for k in range(-n, n + 1)]
+
+    def reduce(delta, w, fld, rows):
+        for (pairs, steps), out in zip(ops, outs):
+            if (delta, w) not in pairs:
+                continue
+            offsets = (itertools.product(shifts(delta, steps), shifts(w, steps)) if steps
+                       else [(0, 0)])
+            for o1, o2 in offsets:
+                cand, (r0, r1) = fld, rows
+                if o1 or o2:
+                    cand = np.zeros(src.shape, src.dtype)
+                    cx = (o1 * e[0] + o2 * ep[0]) / f.spacing
+                    cy = (o1 * e[1] + o2 * ep[1]) / f.spacing
+                    r0, r1 = _shift_add(cand, fld, _corners(cx, cy, 1.0), rows)
+                np.maximum(out[r0:r1], cand[r0:r1], out=out[r0:r1])
 
     for s in omega.values:
         e = direction_vector(s)
@@ -513,25 +487,54 @@ def _sup(
         columns = {0.0: (src, band)}
         for w, col, rows in ladder(src, band, ep, col_radii, widths):
             columns[w] = col, rows
+            reduce(0.0, w, col, rows)
         for w, deltas in lengths.items():
             for delta, fld, rows in ladder(*columns[w], e, cfg.radii, deltas):
-                for o1, o2 in itertools.product(shifts(delta), shifts(w)):
-                    cand, (r0, r1) = fld, rows
-                    if o1 or o2:
-                        cand = np.zeros_like(src)
-                        cx = (o1 * e[0] + o2 * ep[0]) / f.spacing
-                        cy = (o1 * e[1] + o2 * ep[1]) / f.spacing
-                        r0, r1 = _shift_add(cand, fld, _corners(cx, cy, 1.0), rows)
-                    np.maximum(out[r0:r1], cand[r0:r1], out=out[r0:r1])
-    return f.with_values(out)
+                reduce(delta, w, fld, rows)
+    return [f.with_values(out) for out in outs]
 
 
-def m0(f: Grid2D, omega: DirectionSet, cfg: Optional[OperatorConfig] = None) -> Grid2D:
+def _maximal(op: str, f: Grid2D, omega: DirectionSet, cfg: OperatorConfig, bank) -> Grid2D:
+    """The field of op (m0, m1 or m2), taken from ``bank`` when it holds it;
+    otherwise one ``_sup`` pass, which also banks each reduction of the
+    fields it builds that the bank lacks.  A key holds the operator, its
+    directions and ladder parameters (and m2's rectangle family)."""
+    col = _column_ladder_radii(cfg)
+    point = frozenset({(0.0, 0.0)})
+    rect = frozenset((d, w) for d in cfg.radii for w in cfg.widths_for(d))
+    outputs = {  # name -> (directions, radii, pairs, offset steps)
+        "m0": (omega, cfg.radii, frozenset({(1.0, 0.0)}), 0),
+        "m1": (omega, cfg.radii, point | {(d, 0.0) for d in cfg.radii}, 0),
+        "m2": (omega, cfg.radii, point | rect, cfg.offset_steps),
+        "m1-perp": (perpendicular(omega), col, point | {(0.0, w) for w in col}, 0),
+    }
+
+    def key(name):  # m1-perp is m1, over other directions on another ladder
+        directions, radii = outputs[name][:2]
+        shape = (cfg.aspect_levels, cfg.offset_steps) if name == "m2" else ()
+        return (name[:2], directions.values, radii, cfg.samples_per_unit,
+                cfg.direct_nodes_cap, shape)
+
+    names = [op]
+    if bank is not None:
+        if key(op) in bank:
+            return bank[key(op)]
+        more = {"m0": [], "m1": ["m0"], "m2": ["m1", "m0", "m1-perp"]}[op]
+        names += [n for n in more if key(n) not in bank and (n != "m0" or 1.0 in cfg.radii)]
+    fields = _sup(f, omega, cfg, [outputs[n][2:] for n in names])
+    if bank is not None:
+        bank.update(zip(map(key, names), fields))
+    return fields[0]
+
+
+def m0(f: Grid2D, omega: DirectionSet, cfg: Optional[OperatorConfig] = None, *,
+       bank=None) -> Grid2D:
     """Unit-half-length directional average field, maximized over directions.
 
     The candidate (1, 0): the delta = 1 level of the config's ladder cut at 1
     (so m0 <= m1 sample by sample), or of the ladder (1.0,) when 1.0 is not a
     radius; without a config the density is one node per grid step.
+    ``bank`` as for m2.
     """
     if f.spacing > 0.125:
         raise InvalidArgument("grid spacing must be <= 1/8 to resolve unit averages")
@@ -539,22 +542,23 @@ def m0(f: Grid2D, omega: DirectionSet, cfg: Optional[OperatorConfig] = None) -> 
         cfg = OperatorConfig((1.0,), samples_per_unit=max(1, round(1.0 / f.spacing)))
     elif 1.0 not in cfg.radii:
         cfg = replace(cfg, radii=(1.0,))
-    return _sup(f, omega, cfg, frozenset({(1.0, 0.0)}), point=False)
+    return _maximal("m0", f, omega, cfg, bank)
 
 
-def m1(f: Grid2D, omega: DirectionSet, cfg: OperatorConfig) -> Grid2D:
+def m1(f: Grid2D, omega: DirectionSet, cfg: OperatorConfig, *, bank=None) -> Grid2D:
     """Directional maximal field: sup over directions and dyadic radii.
 
     The candidates (delta, 0), delta in cfg.radii, and the degenerate
     zero-radius one (the sample itself): the continuum supremum runs over
     arbitrarily small half-lengths, which at grid resolution collapse to the
     point value.  The dyadic ladder then tracks the true supremum within a
-    factor 2 (averages at comparable radii are 2-comparable).
+    factor 2 (averages at comparable radii are 2-comparable).  ``bank`` as
+    for m2.
     """
-    return _sup(f, omega, cfg, frozenset((d, 0.0) for d in cfg.radii))
+    return _maximal("m1", f, omega, cfg, bank)
 
 
-def m2(f: Grid2D, omega: DirectionSet, cfg: OperatorConfig) -> Grid2D:
+def m2(f: Grid2D, omega: DirectionSet, cfg: OperatorConfig, *, bank=None) -> Grid2D:
     """Rectangle maximal field over the discretized slope-s rectangle family.
 
     The candidates (delta, w), w in cfg.widths_for(delta), and the sample
@@ -562,9 +566,15 @@ def m2(f: Grid2D, omega: DirectionSet, cfg: OperatorConfig) -> Grid2D:
     perpendicular column-average field at radius w; w = 0 degenerates to the
     plain line average.  cfg.offset_steps > 0 additionally evaluates
     off-center rectangles by shifting the same fields.
+
+    ``bank``, a dict the caller keeps for one input grid, shares fields
+    between calls: a call whose field it holds returns that, and any other
+    call stores its field and every reduction its pass subsumes (m1, m0 and
+    m1 over ``perpendicular(omega)`` on ``_column_ladder_radii(cfg)`` for
+    m2; m0 for m1).  Only these max-reduced grids are kept, so
+    ``chain_check``'s bank holds four.
     """
-    pairs = frozenset((d, w) for d in cfg.radii for w in cfg.widths_for(d))
-    return _sup(f, omega, cfg, pairs, offset_steps=cfg.offset_steps)
+    return _maximal("m2", f, omega, cfg, bank)
 
 
 def strong_maximal(f: Grid2D, cfg: OperatorConfig) -> Grid2D:
@@ -718,10 +728,13 @@ def chain_check(
     # the inner sup refines down to the thinnest rectangle width, so every
     # column field of m2 is literally one of its candidates
     inner_cfg = replace(cfg_c, radii=_column_ladder_radii(cfg_c))
-    a = m0(f, omega, cfg_c)
-    b = m1(f, omega, cfg_c)
-    c = m2(f, omega, cfg_c)
-    g = m1(f, perpendicular(omega), inner_cfg)
+    # m2's pass builds every field of m0, m1 and the inner m1, which the
+    # bank then returns; the composition's input is a new grid
+    bank: dict = {}
+    c = m2(f, omega, cfg_c, bank=bank)
+    a = m0(f, omega, cfg_c, bank=bank)
+    b = m1(f, omega, cfg_c, bank=bank)
+    g = m1(f, perpendicular(omega), inner_cfg, bank=bank)
     d = m1(g, omega, cfg_c)
     v1 = float(np.max(a.values - b.values))
     v2 = float(np.max(b.values - c.values))

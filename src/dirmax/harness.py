@@ -208,25 +208,34 @@ _OPS = {"m0": m0, "m1": m1, "m2": m2}
 def measure_ratio(
     omega: DirectionSet,
     family: Sequence[TestFunctionSpec],
-    op: str,
+    ops: Sequence[str],
     cfg: OperatorConfig,
     width: int = 256,
     height: int = 256,
     spacing: float = 1.0 / 32,
-) -> tuple[float, Optional[TestFunctionSpec]]:
-    """Max over the family of ||op(f)||_2 / ||f||_2 (a certified lower bound
-    on the discrete operator norm) and the spec achieving it."""
+) -> list[tuple[float, Optional[TestFunctionSpec]]]:
+    """For each op in ``ops``, in order: the max over the family of
+    ||op(f)||_2 / ||f||_2 (a certified lower bound on the discrete operator
+    norm) and the first spec achieving it.
+
+    Each f is generated once, and several ops share one field bank for it,
+    running as m2, m1, m0, so m2's pass builds the fields of the other two."""
     if not family:
         raise InvalidArgument("family must be nonempty")
-    if op not in _OPS:
-        raise InvalidArgument(f"unknown operator {op!r}")
-    best, best_spec = 0.0, None
+    if isinstance(ops, str):
+        raise InvalidArgument(f"ops must be a sequence of operator names, got {ops!r}")
+    for op in ops:
+        if op not in _OPS:
+            raise InvalidArgument(f"unknown operator {op!r}")
+    best = {op: (0.0, None) for op in ops}
     for spec in family:
         f = generate(spec, width, height, spacing)  # raises on a zero-norm f
-        ratio = _OPS[op](f, omega, cfg).l2_norm() / f.l2_norm()
-        if ratio > best:
-            best, best_spec = ratio, spec
-    return best, best_spec
+        bank = {} if len(best) > 1 else None  # one op has nothing to share
+        for op in sorted(best, reverse=True):  # m2, m1, m0
+            ratio = _OPS[op](f, omega, cfg, bank=bank).l2_norm() / f.l2_norm()
+            if ratio > best[op][0]:
+                best[op] = ratio, spec
+    return [best[op] for op in ops]
 
 
 @dataclass(frozen=True)
@@ -360,8 +369,8 @@ def _sweep(
     for label, omega, spacing in cases:
         cfg = _sweep_cfg(spacing, size)
         family = _default_family(family_kinds, omega.values, seed)
-        for op in ops:
-            ratio, arg = measure_ratio(omega, family, op, cfg, size, size, spacing)
+        measured = measure_ratio(omega, family, ops, cfg, size, size, spacing)
+        for op, (ratio, arg) in zip(ops, measured):
             rows.append(SweepRow(float(label), op, ratio, arg, len(omega)))
     return SweepResult(mode, tuple(rows))
 

@@ -48,8 +48,6 @@ __all__ = [
     "Strip",
     "Sector",
     "FrequencyBand",
-    "strip_contains",
-    "overlap_count",
     "max_overlap",
     "max_overlap_with_argmax",
     "sector_multiplier",
@@ -123,11 +121,6 @@ class FrequencyBand:
         return out
 
 
-def strip_contains(strip: Strip, p: tuple[float, float]) -> bool:
-    """Membership in the strip; the x1 bound is strict, the slab bound closed."""
-    return bool(_in_strip(p[0], p[1], strip.min_x1, strip.center, strip.half_width))
-
-
 # ---------------------------------------------------------------------------
 # overlap counting
 # ---------------------------------------------------------------------------
@@ -175,25 +168,6 @@ def _strip_arrays(decomp: LacunaryDecomposition, require_poles: bool):
 def _in_strip(x1, x2, tau, center, half_width=STRIP_HALF_WIDTH):
     """Strip membership, broadcasting: x1 > tau strict, |x2 - center x1| <= half_width."""
     return (x1 > tau) & (np.abs(x2 - center * x1) <= half_width)
-
-
-def overlap_count(
-    decomp: LacunaryDecomposition,
-    p: tuple[float, float],
-    require_poles: bool = True,
-) -> tuple[int, int]:
-    """(n_low, n_top) strip membership counts at one frequency point.
-
-    n_low counts the pole strips S_{p_J}(J) over rank <= mu-1 intervals;
-    n_top counts the endpoint strips S_a(J), S_b(J) over top-rank intervals
-    with multiplicity.
-    """
-    x1, x2 = float(p[0]), float(p[1])
-    if not x1 > 0:
-        raise InvalidArgument("overlap is defined on the half plane x1 > 0")
-    tau_l, cen_l, tau_t, cen_t = _strip_arrays(decomp, require_poles)
-    n_low = int(np.sum(_in_strip(x1, x2, tau_l, cen_l)))
-    return n_low, int(np.sum(_in_strip(x1, x2, tau_t, cen_t)))
 
 
 def _sweep_max(tau: np.ndarray, centers: np.ndarray) -> tuple[int, tuple[float, float]]:

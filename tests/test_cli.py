@@ -431,6 +431,21 @@ class TestOverlapAndSupport:
         assert data["all_contained"] is True
         assert data["m"] == 2
 
+    def test_check_support_integer_and_float_chains_give_same_bytes(self, tmp_path):
+        reports = []
+        for spelling in (
+            [{"lo": 0, "hi": 16, "pole": 8}, {"lo": 10, "hi": 12}],
+            [{"lo": 0.0, "hi": 16.0, "pole": 8.0}, {"lo": 10.0, "hi": 12.0}],
+        ):
+            chain = tmp_path / "chain.json"
+            chain.write_text(json.dumps(spelling))
+            out = tmp_path / f"rep{len(reports)}.json"
+            assert run(["check-support", "--chain", str(chain), "--theta", "11",
+                        "--R", "10000", "--samples", "8", "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+        assert b'"strip_center": 8.0' in reports[0]
+
     def test_check_support_bad_chain(self, tmp_path):
         chain = tmp_path / "chain.json"
         chain.write_text(json.dumps(

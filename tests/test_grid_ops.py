@@ -1,9 +1,11 @@
 """Discrete maximal operators: quadrature, chain, and smoothing kernel."""
 
 import functools
+import itertools
 import math
 import struct
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,14 +19,12 @@ from dirmax.grid_ops import (
     OperatorConfig,
     _avg_field_ladder,
     _base_segments,
-    _bilinear_sample,
     _column_ladder_radii,
     _row_band,
     _shift_add,
     _stencil,
     chain_check,
     direction_vector,
-    directional_avg,
     gamma_kernel,
     gamma_op,
     m0,
@@ -34,6 +34,7 @@ from dirmax.grid_ops import (
 )
 from dirmax.kernels import bump_eval, bump_integral, vp_eval
 from dirmax.lacunary import DirectionSet, perpendicular
+from oracles import _bilinear_sample, directional_avg
 
 
 def smooth_grid(seed: int, n: int = 65, spacing: float = 1 / 16) -> Grid2D:
@@ -605,6 +606,109 @@ class TestLadderEngine:
         e = direction_vector(0.1)
         list(_avg_field_ladder(src, _row_band(src), e, (0.25, 0.5, 1.0), {1.0}, 16, cap, stencil))
         assert len(rules) == built
+
+
+@st.composite
+def bank_cases(draw):
+    """An ``operator_cases`` grid, whose direction set also gets an axis or a
+    value with its perpendicular, under a config with cascaded levels
+    (node cap 9) or only direct ones (cap 129), and m2 offsets 0 or 1."""
+    f, omega, cfg = draw(operator_cases(offsets=False))
+    s = draw(st.floats(0.0, 1.0, exclude_max=True))
+    if draw(st.booleans()):
+        extra = (draw(st.sampled_from([0.0, 0.25, 0.5, 0.75])),)
+    else:
+        extra = (s, (s + 0.25) % 1.0)
+    cfg = replace(cfg, direct_nodes_cap=draw(st.sampled_from([9, 129])),
+                  offset_steps=draw(st.integers(0, 1)))
+    return f, DirectionSet(omega.values + extra), cfg
+
+
+class TestBank:
+    """Operators that share one field bank give the fields of separate calls."""
+
+    @given(case=bank_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_every_call_order_matches_separate_calls(self, case):
+        f, omega, cfg = case
+        inner = replace(cfg, radii=_column_ladder_radii(cfg))
+        calls = {
+            "m0": lambda bank: m0(f, omega, cfg, bank=bank),
+            "m1": lambda bank: m1(f, omega, cfg, bank=bank),
+            "m2": lambda bank: m2(f, omega, cfg, bank=bank),
+            "m1-perp": lambda bank: m1(f, perpendicular(omega), inner, bank=bank),
+        }
+        want = {name: call(None).values.tobytes() for name, call in calls.items()}
+        for order in itertools.permutations(calls):
+            bank: dict = {}
+            for name in order:
+                assert calls[name](bank).values.tobytes() == want[name], (order, name)
+                assert calls[name](bank).values.tobytes() == want[name], (order, name)
+
+    @given(case=bank_cases())
+    @settings(max_examples=20, deadline=None)
+    def test_m2_pass_banks_the_other_three(self, case):
+        f, omega, cfg = case
+        bank: dict = {}
+        m2(f, omega, cfg, bank=bank)
+        held = dict(bank)
+        assert len(held) == (4 if 1.0 in cfg.radii else 3)
+        inner = replace(cfg, radii=_column_ladder_radii(cfg))
+        got = [m1(f, omega, cfg, bank=bank), m1(f, perpendicular(omega), inner, bank=bank)]
+        if 1.0 in cfg.radii:
+            got.append(m0(f, omega, cfg, bank=bank))
+        assert bank == held
+        assert all(any(g is h for h in held.values()) for g in got)
+
+    def test_chain_check_fields_match_separate_calls(self):
+        f, omega = smooth_grid(3), DirectionSet((0.0, 0.1, 0.35))
+        fields = chain_check(f, omega, CFG, keep_fields=True).fields
+        for name, op in (("m0", m0), ("m1", m1), ("m2", m2)):
+            assert fields[name].values.tobytes() == op(f, omega, CFG).values.tobytes()
+
+
+class TestCascadeAccuracy:
+    """Away from the edge a cascaded level is the direct level up to the
+    bilinear interpolation error, level by level."""
+
+    @given(
+        base=st.sampled_from([0.125, 0.25]),
+        levels=st.integers(2, 3),
+        spu=st.sampled_from([4, 8, 16]),
+        s=st.floats(0.0, 1.0, exclude_max=True),
+        coef=st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0), st.floats(-1.0, 1.0)),
+        center=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_cascade_matches_direct_within_interpolation_error(
+        self, base, levels, spu, s, coef, center
+    ):
+        # f = 1 + a u^2 + b v^2 + c sqrt(ab) u v >= 1, (u, v) = x - center.
+        # Bilinear interpolation reproduces u v, so it errs by at most
+        # E = h^2 (a + b) / 4 on f and on any average of translates of f.  A
+        # direct level errs by at most E against the exact trapezoid rule,
+        # and a cascaded level k by (k + 1) E: each cascade step averages two
+        # interpolated reads of the level below, at -+ half its length.
+        a, b, c = coef
+        h = 1 / 16
+        g = Grid2D(np.zeros((64, 64)), h)
+        x1, x2 = g.coords()
+        u, v = x1[None, :] - center[0], x2[:, None] - center[1]
+        src = 1.0 + a * u * u + b * v * v + c * math.sqrt(a * b) * u * v
+        radii = tuple(base * 2.0**k for k in range(levels))
+        e = direction_vector(s)
+        stencil = functools.partial(_stencil, spacing=h)
+
+        def ladder(cap):
+            return _avg_field_ladder(src, _row_band(src), e, radii, set(radii), spu, cap, stencil)
+
+        # every read of level k stays inside once x is radii[k] + (k + 2) h
+        # from the edge (one extra cell per bilinear step)
+        err = h * h * (a + b) / 4
+        for k, ((_, casc, _), (_, direct, _)) in enumerate(zip(ladder(1), ladder(10**6))):
+            inside = g.interior_mask(radii[k] + (k + 2) * h)
+            gap = np.abs(casc - direct)[inside]
+            assert gap.size and float(gap.max()) <= (k + 2) * err + 1e-12 * float(src.max())
 
 
 class TestM1:

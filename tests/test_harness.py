@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dirmax.errors import InvalidArgument
-from dirmax.grid_ops import OperatorConfig
+from dirmax.grid_ops import OperatorConfig, m0, m1, m2
 from dirmax.harness import (
     SweepResult,
     SweepRow,
@@ -128,16 +129,16 @@ CFG = OperatorConfig.dyadic(0.25, 3)
 class TestMeasureRatio:
     def test_constant_near_one(self):
         fam = [TestFunctionSpec("disk", radius=20)]
-        ratio, arg = measure_ratio(
-            DirectionSet((0.1,)), fam, "m1", CFG, 128, 128, 1 / 16
+        [(ratio, arg)] = measure_ratio(
+            DirectionSet((0.1,)), fam, ("m1",), CFG, 128, 128, 1 / 16
         )
         assert 0.8 <= ratio <= 1.6
         assert arg.kind == "disk"
 
     def test_monotone_in_directions(self):
         fam = [TestFunctionSpec("disk", radius=4), TestFunctionSpec("random_bumps", seed=1)]
-        small, _ = measure_ratio(uniform_directions(2), fam, "m1", CFG, 128, 128, 1 / 32)
-        large, _ = measure_ratio(uniform_directions(8), fam, "m1", CFG, 128, 128, 1 / 32)
+        [(small, _)] = measure_ratio(uniform_directions(2), fam, ("m1",), CFG, 128, 128, 1 / 32)
+        [(large, _)] = measure_ratio(uniform_directions(8), fam, ("m1",), CFG, 128, 128, 1 / 32)
         assert small <= large + 1e-12
 
     def test_family_max_picks_strongest_stressor(self):
@@ -149,20 +150,56 @@ class TestMeasureRatio:
             "needle_bundle", count=8, angles=om.values, width=1.0, length=128
         )
         disk = TestFunctionSpec("disk", radius=3)
-        rn, _ = measure_ratio(om, [needles], "m1", CFG, 256, 256, 1 / 32)
-        rd, _ = measure_ratio(om, [disk], "m1", CFG, 256, 256, 1 / 32)
+        [(rn, _)] = measure_ratio(om, [needles], ("m1",), CFG, 256, 256, 1 / 32)
+        [(rd, _)] = measure_ratio(om, [disk], ("m1",), CFG, 256, 256, 1 / 32)
         assert rd > rn
-        both, arg = measure_ratio(om, [needles, disk], "m1", CFG, 256, 256, 1 / 32)
+        [(both, arg)] = measure_ratio(om, [needles, disk], ("m1",), CFG, 256, 256, 1 / 32)
         assert both == max(rn, rd)
         assert arg.kind == "disk"
 
+    @given(
+        ops=st.lists(st.sampled_from(["m0", "m1", "m2"]), min_size=1, max_size=4),
+        kinds=st.lists(st.sampled_from(["disk", "twin-disk", "random_bumps", "hot_pixel"]),
+                       min_size=1, max_size=3),
+        angles=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=3),
+        cap=st.sampled_from([9, 129]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_shared_bank_matches_per_op_calls(self, ops, kinds, angles, cap):
+        # "twin-disk" renders like "disk" (a disk ignores its seed), so the
+        # first of the two must keep a tie
+        specs = {"disk": TestFunctionSpec("disk", radius=3.0),
+                 "twin-disk": TestFunctionSpec("disk", radius=3.0, seed=1),
+                 "random_bumps": TestFunctionSpec("random_bumps", count=3, seed=2),
+                 "hot_pixel": TestFunctionSpec("hot_pixel")}
+        family = [specs[k] for k in kinds]
+        omega = DirectionSet(tuple(angles))
+        cfg = OperatorConfig.dyadic(0.25, 3, samples_per_unit=8, aspect_levels=1,
+                                    direct_nodes_cap=cap)
+        got = measure_ratio(omega, family, ops, cfg, 24, 20, 1 / 8)
+        assert len(got) == len(ops)
+        for op, (ratio, arg) in zip(ops, got):
+            best, best_spec = 0.0, None
+            for spec in family:
+                f = generate(spec, 24, 20, 1 / 8)
+                r = {"m0": m0, "m1": m1, "m2": m2}[op](f, omega, cfg).l2_norm() / f.l2_norm()
+                if r > best:
+                    best, best_spec = r, spec
+            assert float(ratio).hex() == float(best).hex()
+            assert arg is best_spec
+
     def test_empty_family_rejected(self):
         with pytest.raises(InvalidArgument):
-            measure_ratio(DirectionSet((0.0,)), [], "m1", CFG)
+            measure_ratio(DirectionSet((0.0,)), [], ("m1",), CFG)
 
     def test_unknown_operator_rejected(self):
         with pytest.raises(InvalidArgument):
-            measure_ratio(DirectionSet((0.0,)), [TestFunctionSpec("disk")], "m7", CFG)
+            measure_ratio(DirectionSet((0.0,)), [TestFunctionSpec("disk")], ("m1", "m7"), CFG)
+
+    def test_operator_name_string_rejected(self):
+        # a bare name is a sequence of one-letter names, not one operator
+        with pytest.raises(InvalidArgument, match="sequence of operator names"):
+            measure_ratio(DirectionSet((0.0,)), [TestFunctionSpec("disk")], "m1", CFG)
 
 
 class TestSweeps:

@@ -23,10 +23,8 @@ from dirmax.sectors import (
     domination_ratio,
     max_overlap,
     max_overlap_with_argmax,
-    overlap_count,
     random_pole_gap_chain,
     sector_multiplier,
-    strip_contains,
     strip_decomposition_report,
     strip_multiplier_energy,
     support_containment_check,
@@ -35,6 +33,7 @@ from dirmax.sectors import (
     _strip_arrays,
     _sweep_max,
 )
+from oracles import overlap_count, strip_contains
 from test_lacunary import REFERENCE_CORPUS
 
 
