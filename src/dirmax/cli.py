@@ -209,7 +209,7 @@ def _cmd_check_support(args) -> int:
         RankInterval(float(lo), float(hi), k + 1, None if pole is None else float(pole))
         for k, (lo, hi, pole) in enumerate(rows)
     ]
-    rep = support_containment_check(chain, args.theta, args.R, samples=args.samples)
+    rep = support_containment_check(chain, args.theta, args.R)
     payload = {
         "m": rep.m,
         "all_contained": rep.all_contained,
@@ -219,7 +219,6 @@ def _cmd_check_support(args) -> int:
                 "band": [c.band.xi1_lo, c.band.xi1_hi],
                 "strip_center": c.strip.center,
                 "corner_margin": c.corner_margin,
-                "lattice_margin": c.lattice_margin,
                 "contained": c.contained,
             }
             for c in rep.checks
@@ -291,7 +290,6 @@ def _build_parser() -> _Parser:
     c.add_argument("--chain", required=True)
     c.add_argument("--theta", type=float, required=True)
     c.add_argument("--R", type=float, required=True)
-    c.add_argument("--samples", type=int, default=512)
     c.add_argument("--out", default=None)
     c.set_defaults(fn=_cmd_check_support)
 

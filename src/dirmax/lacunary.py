@@ -347,7 +347,9 @@ class LacunaryDecomposition:
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
+            # streamed: one json.dumps string of a large decomposition costs megabytes
             json.dump(self.to_json(), fh, sort_keys=True, indent=1)
+            fh.write("\n")
 
     @staticmethod
     def load(path) -> "LacunaryDecomposition":
@@ -580,10 +582,10 @@ def _infer_group(
     # one-sided: the feasible pole nearest the points, beyond either end
     for ordered in (pts[::-1], pts):
         pole = infer_pole(ordered, gap, within=interval)
-        if pole is not None and check_lacunary(
-            _order_by_distance(pts, pole), pole, gap
-        ):
-            return [_StageGroup(stage, pole, _order_by_distance(pts, pole))]
+        if pole is not None:
+            # infer_pole passed check_lacunary on ``ordered``, so the distances
+            # to the pole strictly fall along it: it is the distance order
+            return [_StageGroup(stage, pole, tuple(ordered))]
     # two-sided about an interior pole
     found = _split_pole(pts, interval, gap, range(1, len(pts)))
     return None if found is None else [_StageGroup(stage, found[0], s) for s in found[1]]

@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -54,7 +54,6 @@ __all__ = [
     "support_containment_check",
     "ContainmentReport",
     "validate_pole_gap_chain",
-    "random_pole_gap_chain",
     "domination_ratio",
     "strip_decomposition_report",
     "strip_multiplier_energy",
@@ -330,53 +329,12 @@ def validate_pole_gap_chain(chain: Sequence[RankInterval]) -> None:
             )
 
 
-def random_pole_gap_chain(
-    rng: np.random.Generator, n: int, domain: tuple[float, float] = (0.0, 1.0)
-) -> list[RankInterval]:
-    """Random nested interval chain satisfying the pole-gap condition.
-
-    Each step places the next interval on a random side of the current pole
-    with dist(p_k, J_{k+1}) uniform in [|J_{k+1}|/2, |J_{k+1}|].  The last
-    interval carries no pole (the containment check substitutes theta there).
-    """
-    if n < 1:
-        raise InvalidArgument("chain length must be >= 1")
-    lo, hi = domain
-    out: list[RankInterval] = []
-    for k in range(1, n + 1):
-        if k == 1:
-            w = (hi - lo) * rng.uniform(0.5, 0.9)
-            jlo = lo + (hi - lo - w) * rng.random()
-            jhi = jlo + w
-        else:
-            prev = out[-1]
-            p = prev.pole
-            room_r, room_l = prev.hi - p, p - prev.lo
-            go_right = room_r >= room_l
-            if rng.random() < 0.35:
-                go_right = not go_right
-            room = room_r if go_right else room_l
-            w = room * rng.uniform(0.15, 0.4)
-            d = w * rng.uniform(0.5, 1.0)  # d + w <= 0.8 room, so J stays inside
-            if go_right:
-                jlo, jhi = p + d, p + d + w
-            else:
-                jlo, jhi = p - d - w, p - d
-        pole = None
-        if k < n:
-            pole = jlo + (jhi - jlo) * rng.uniform(0.25, 0.75)
-        out.append(RankInterval(jlo, jhi, k, pole))
-    validate_pole_gap_chain(out)
-    return out
-
-
 @dataclass(frozen=True)
 class BandCheck:
     k: int
     band: FrequencyBand
     strip: Strip
     corner_margin: float  # min over corners of half_width - |xi2 - c xi1|
-    lattice_margin: Optional[float]
     contained: bool
 
 
@@ -403,15 +361,15 @@ def support_containment_check(
     chain: Sequence[RankInterval],
     theta: float,
     R: float,
-    samples: int = 512,
 ) -> ContainmentReport:
     """Check that each dyadic kernel band lands inside its strip.
 
     With r_k = 1/|J_k| and m = max{k : 2 r_k < R}, the k-th band is
     [r_k, 2 r_{k+1}] x {|xi2 - theta xi1| < 1} (the last band, k = n, runs to
-    2R and is checked against the strip centered at theta itself).  The band
-    and the strip are convex, so corner containment proves containment; a
-    ``samples`` x ``samples`` lattice adds margin diagnostics (pass 0 to skip).
+    2R and is checked against the strip centered at theta itself).  The slab
+    margin 5 - |xi2 - c xi1| is concave and the band is convex, so its minimum
+    over the band is attained at a corner: the four corners decide
+    containment, and ``corner_margin`` is the band's exact slab margin.
     The x1 edge xi1 = r_k coincides with the strip activation threshold; the
     check accepts the closure there and reports margins for the slab bound.
     """
@@ -444,18 +402,7 @@ def support_containment_check(
             for x1, x2 in band.corners()
         )
         x1_ok = band.xi1_lo >= strip.min_x1 - 1e-12 * max(1.0, strip.min_x1)
-        lat_margin = None
-        if samples > 0:
-            x1 = np.linspace(band.xi1_lo, band.xi1_hi, samples)
-            x2 = theta * x1[None, :] + np.linspace(
-                -band.bump_halfwidth, band.bump_halfwidth, samples
-            )[:, None]
-            lat_margin = float(
-                np.min(strip.half_width - np.abs(x2 - strip.center * x1[None, :]))
-            )
-        checks.append(
-            BandCheck(k, band, strip, float(margin), lat_margin, bool(margin >= 0 and x1_ok))
-        )
+        checks.append(BandCheck(k, band, strip, float(margin), bool(margin >= 0 and x1_ok)))
     return ContainmentReport(m, tuple(checks))
 
 

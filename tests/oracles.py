@@ -1,9 +1,11 @@
-"""Slow pointwise references that the tests check the library against.
+"""Slow pointwise references that the tests check the library against, and
+the tests' random pole-gap chains.
 
 ``directional_avg`` samples one centered line average with its own bilinear
 reads, the reference for the shift-add engine's fields; ``overlap_count``
 and ``strip_contains`` count strip memberships at single frequency points,
-the brute-force oracles of ``sectors.max_overlap``.
+the brute-force oracles of ``sectors.max_overlap``.  ``random_pole_gap_chain``
+draws the interval chains fed to ``sectors.support_containment_check``.
 """
 
 from typing import Optional
@@ -12,8 +14,8 @@ import numpy as np
 
 from dirmax.errors import InvalidArgument
 from dirmax.grid_ops import Grid2D, _base_segments, direction_vector
-from dirmax.lacunary import LacunaryDecomposition
-from dirmax.sectors import Strip, _in_strip, _strip_arrays
+from dirmax.lacunary import LacunaryDecomposition, RankInterval
+from dirmax.sectors import Strip, _in_strip, _strip_arrays, validate_pole_gap_chain
 
 
 def _bilinear_sample(grid: Grid2D, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
@@ -82,3 +84,43 @@ def overlap_count(
     tau_l, cen_l, tau_t, cen_t = _strip_arrays(decomp, require_poles)
     n_low = int(np.sum(_in_strip(x1, x2, tau_l, cen_l)))
     return n_low, int(np.sum(_in_strip(x1, x2, tau_t, cen_t)))
+
+
+def random_pole_gap_chain(
+    rng: np.random.Generator, n: int, domain: tuple[float, float] = (0.0, 1.0)
+) -> list[RankInterval]:
+    """Random nested interval chain satisfying the pole-gap condition.
+
+    Each step places the next interval on a random side of the current pole
+    with dist(p_k, J_{k+1}) uniform in [|J_{k+1}|/2, |J_{k+1}|].  The last
+    interval carries no pole (the containment check substitutes theta there).
+    """
+    if n < 1:
+        raise InvalidArgument("chain length must be >= 1")
+    lo, hi = domain
+    out: list[RankInterval] = []
+    for k in range(1, n + 1):
+        if k == 1:
+            w = (hi - lo) * rng.uniform(0.5, 0.9)
+            jlo = lo + (hi - lo - w) * rng.random()
+            jhi = jlo + w
+        else:
+            prev = out[-1]
+            p = prev.pole
+            room_r, room_l = prev.hi - p, p - prev.lo
+            go_right = room_r >= room_l
+            if rng.random() < 0.35:
+                go_right = not go_right
+            room = room_r if go_right else room_l
+            w = room * rng.uniform(0.15, 0.4)
+            d = w * rng.uniform(0.5, 1.0)  # d + w <= 0.8 room, so J stays inside
+            if go_right:
+                jlo, jhi = p + d, p + d + w
+            else:
+                jlo, jhi = p - d - w, p - d
+        pole = None
+        if k < n:
+            pole = jlo + (jhi - jlo) * rng.uniform(0.25, 0.75)
+        out.append(RankInterval(jlo, jhi, k, pole))
+    validate_pole_gap_chain(out)
+    return out

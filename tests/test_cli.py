@@ -16,6 +16,7 @@ from dirmax.grid_ops import Grid2D, OperatorConfig, m1
 from dirmax.lacunary import (
     DirectionSet,
     LacunaryDecomposition,
+    binary_decomposition,
     random_complete_decomposition,
 )
 
@@ -175,6 +176,9 @@ class TestExitCodes:
                     "--range", "0,1", "--samples", "2"]) == 1
         assert run(["overlap", "--decomp", str(tmp_path / "d.json"), "--exact"]) == 1
         assert run(["overlap", "--decomp", str(tmp_path / "d.json"), "--samples", "200"]) == 1
+        # the four band corners decide containment: there is no lattice to size
+        assert run(["check-support", "--chain", str(tmp_path / "c.json"), "--theta", "0.4",
+                    "--R", "1e4", "--samples", "8"]) == 1
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -310,6 +314,13 @@ class TestDecompose:
         data = json.loads(out.read_text())
         assert data["gap"] == 0.5
 
+    def test_output_matches_library_save_bytes(self, dirs_file, tmp_path):
+        out, ref = tmp_path / "d.json", tmp_path / "ref.json"
+        assert run(["decompose", "--mode", "binary", "--input", str(dirs_file),
+                    "--out", str(out)]) == 0
+        binary_decomposition(json.loads(dirs_file.read_text())).save(ref)
+        assert out.read_bytes() == ref.read_bytes()
+
     def test_byte_identical_reruns(self, dirs_file, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         run(["decompose", "--mode", "binary", "--input", str(dirs_file), "--out", str(a)])
@@ -426,10 +437,12 @@ class TestOverlapAndSupport:
         ))
         out = tmp_path / "rep.json"
         assert run(["check-support", "--chain", str(chain), "--theta", "0.4",
-                    "--R", "10000", "--samples", "32", "--out", str(out)]) == 0
+                    "--R", "10000", "--out", str(out)]) == 0
         data = json.loads(out.read_text())
         assert data["all_contained"] is True
         assert data["m"] == 2
+        for check in data["checks"]:
+            assert sorted(check) == ["band", "contained", "corner_margin", "k", "strip_center"]
 
     def test_check_support_integer_and_float_chains_give_same_bytes(self, tmp_path):
         reports = []
@@ -441,7 +454,7 @@ class TestOverlapAndSupport:
             chain.write_text(json.dumps(spelling))
             out = tmp_path / f"rep{len(reports)}.json"
             assert run(["check-support", "--chain", str(chain), "--theta", "11",
-                        "--R", "10000", "--samples", "8", "--out", str(out)]) == 0
+                        "--R", "10000", "--out", str(out)]) == 0
             reports.append(out.read_bytes())
         assert reports[0] == reports[1]
         assert b'"strip_center": 8.0' in reports[0]

@@ -23,7 +23,6 @@ from dirmax.sectors import (
     domination_ratio,
     max_overlap,
     max_overlap_with_argmax,
-    random_pole_gap_chain,
     sector_multiplier,
     strip_decomposition_report,
     strip_multiplier_energy,
@@ -33,7 +32,7 @@ from dirmax.sectors import (
     _strip_arrays,
     _sweep_max,
 )
-from oracles import overlap_count, strip_contains
+from oracles import overlap_count, random_pole_gap_chain, strip_contains
 from test_lacunary import REFERENCE_CORPUS
 
 
@@ -383,7 +382,7 @@ class TestPoleGapChains:
             RankInterval(0.36, 0.44, 2, None),
         ]
         validate_pole_gap_chain(chain)  # dist 0.06 in [0.04, 0.08]
-        rep = support_containment_check(chain, theta=0.4, R=1e4, samples=128)
+        rep = support_containment_check(chain, theta=0.4, R=1e4)
         assert rep.m == 2
         assert rep.all_contained
         assert rep.checks[0].corner_margin == pytest.approx(1.5, abs=1e-9)
@@ -398,7 +397,7 @@ class TestPoleGapChains:
 
     def test_small_r_vacuous(self):
         chain = [RankInterval(0.0, 1.0, 1, None)]
-        rep = support_containment_check(chain, theta=0.5, R=1.0, samples=0)
+        rep = support_containment_check(chain, theta=0.5, R=1.0)
         assert rep.m == 0
         assert rep.checks == ()
 
@@ -410,12 +409,28 @@ class TestPoleGapChains:
             chain = random_pole_gap_chain(rng, n)
             last = chain[-1]
             theta = last.lo + (last.hi - last.lo) * rng.random()
-            rep = support_containment_check(
-                chain, theta, R=10.0 ** rng.uniform(1, 6), samples=0
-            )
+            rep = support_containment_check(chain, theta, R=10.0 ** rng.uniform(1, 6))
             assert rep.all_contained
             margins.extend(c.corner_margin for c in rep.checks)
         assert margins and min(margins) > 0.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_corner_margin_is_the_band_minimum(self, seed):
+        # the slab margin is concave and the band convex: no point of a 64 x 64
+        # lattice of the band falls below the corners, beyond rounding
+        rng = np.random.default_rng(seed)
+        chain = random_pole_gap_chain(rng, int(rng.integers(1, 7)))
+        last = chain[-1]
+        theta = last.lo + (last.hi - last.lo) * rng.random()
+        rep = support_containment_check(chain, theta, R=10.0 ** rng.uniform(1, 6))
+        for c in rep.checks:
+            assert c.contained == (c.corner_margin >= 0)
+            half = c.band.bump_halfwidth
+            x1 = np.linspace(c.band.xi1_lo, c.band.xi1_hi, 64)
+            x2 = theta * x1 + np.linspace(-half, half, 64)[:, None]
+            lattice = float(np.min(c.strip.half_width - np.abs(x2 - c.strip.center * x1)))
+            assert lattice >= c.corner_margin - 1e-9 * max(1.0, abs(c.corner_margin))
 
     def test_theta_outside_rejected(self):
         chain = random_pole_gap_chain(np.random.default_rng(0), 3)
