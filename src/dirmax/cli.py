@@ -106,7 +106,8 @@ def _cmd_decompose(args) -> int:
         for flag, value in (("--domain", domain), ("--gap", args.gap)):
             if value is not None:
                 raise InvalidArgument(f"{flag} applies to chain mode only")
-        decomp = binary_decomposition(_json_numbers(data, "binary mode input"))
+        data = _json_numbers(data, "binary mode input")  # frees the parsed list before the build
+        decomp = binary_decomposition(data)
     else:
         if isinstance(data, dict):
             if "chain" not in data:
@@ -116,7 +117,10 @@ def _cmd_decompose(args) -> int:
             raise InvalidArgument("chain mode expects a JSON array of slope arrays")
         stages = [_json_numbers(stage, "each chain stage") for stage in data]
         decomp = build_decomposition(stages, 0.5 if args.gap is None else args.gap, domain)
-    _write_text(args.out, json.dumps(decomp.to_json(), sort_keys=True, indent=1) + "\n")
+    if args.out is None:
+        decomp.save(sys.stdout)
+    else:
+        _atomic_write(args.out, decomp.save)
     return 0
 
 

@@ -28,7 +28,7 @@ import json
 import math
 from contextlib import suppress
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import compress
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -253,14 +253,40 @@ class RankInterval:
 
 
 class _StageGroup(NamedTuple):
-    """One lacunary sequence inserted at a given stage (stage 1 = the seed set).
-
-    A named tuple rather than a dataclass: random builds make tens of thousands.
-    """
+    """One lacunary sequence inserted at a given stage (stage 1 = the seed set)."""
 
     stage: int
     pole: float
     points: tuple[float, ...]  # ordered by decreasing distance to the pole
+
+
+class _GroupArrays(NamedTuple):
+    """Stage groups as arrays: group i joins at stage ``stage[i]`` (int64) about
+    ``pole[i]``, and its points, by decreasing distance to the pole, are
+    ``points[offsets[i]:offsets[i + 1]]`` (``offsets`` is int64, one longer)."""
+
+    stage: np.ndarray
+    pole: np.ndarray
+    points: np.ndarray
+    offsets: np.ndarray
+
+    @staticmethod
+    def of(groups: Iterable[tuple[int, float, Sequence[float]]]) -> "_GroupArrays":
+        """The arrays of (stage, pole, points) triples, in the given order."""
+        stage, pole, points = [list(c) for c in zip(*groups)] or [[], [], []]
+        sizes = np.array([len(p) for p in points], dtype=np.int64)
+        return _GroupArrays(
+            np.array(stage, dtype=np.int64),
+            np.array(pole, dtype=float),
+            np.array([v for p in points for v in p], dtype=float),
+            np.concatenate(([0], np.cumsum(sizes))),
+        )
+
+    def rows(self) -> list[tuple[int, float, tuple[float, ...]]]:
+        """(stage, pole, points) per group, as Python numbers."""
+        pts, ends = self.points.tolist(), self.offsets.tolist()
+        cols = zip(self.stage.tolist(), self.pole.tolist(), ends, ends[1:])
+        return [(k, p, tuple(pts[a:b])) for k, p, a, b in cols]
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,8 +300,11 @@ class LacunaryDecomposition:
 
     ``poles`` lists every pole used in the construction (one or two per
     inserted group), whether or not it ended up tagging a rank interval.
-    ``groups`` records the builder's stage groups (none after ``from_json``);
-    no operation reads them, since completion re-derives them from the chain.
+    ``stage_groups`` holds the builder's stage groups as arrays
+    (``_GroupArrays``: a stage and a pole per group, and the groups' points
+    as one flat array with offsets; none after ``from_json``).  No operation
+    reads them, since completion re-derives them from the chain; ``groups``
+    builds them as ``_StageGroup`` tuples on each read.
     """
 
     chain: tuple[tuple[float, ...], ...]
@@ -286,11 +315,15 @@ class LacunaryDecomposition:
     pole: np.ndarray = field(repr=False)
     domain: tuple[float, float]
     poles: tuple[float, ...] = ()
-    groups: tuple[_StageGroup, ...] = field(default=(), repr=False)
+    stage_groups: _GroupArrays = field(default_factory=lambda: _GroupArrays.of(()), repr=False)
 
     def __post_init__(self):
-        for a in (self.lo, self.hi, self.rank, self.pole):
+        for a in (self.lo, self.hi, self.rank, self.pole, *self.stage_groups):
             a.flags.writeable = False
+
+    @property
+    def groups(self) -> tuple[_StageGroup, ...]:
+        return tuple(map(_StageGroup._make, self.stage_groups.rows()))
 
     @property
     def order(self) -> int:
@@ -346,14 +379,60 @@ class LacunaryDecomposition:
         return LacunaryDecomposition(chain, gap, lo, hi, rank.astype(np.int64), pole, domain, poles)
 
     def save(self, path) -> None:
+        """Write ``json.dumps(self.to_json(), sort_keys=True, indent=1) + "\\n"``
+        in pieces of at most ``_PIECE`` numbers or rank intervals each.
+
+        ``path`` is a file path or an open text stream, which is left open.
+        """
+        if hasattr(path, "write"):
+            self._write(path)
+            return
         with open(path, "w") as fh:
-            # streamed: one json.dumps string of a large decomposition costs megabytes
-            json.dump(self.to_json(), fh, sort_keys=True, indent=1)
-            fh.write("\n")
+            self._write(fh)
+
+    def _write(self, fh) -> None:
+        fh.write('{\n "chain": [')
+        for k, s in enumerate(self.chain):
+            fh.write(",\n  " if k else "\n  ")
+            _write_numbers(fh, s, 3)
+        fh.write(("\n ]" if self.chain else "]") + ',\n "domain": ')
+        _write_numbers(fh, self.domain, 2)
+        fh.write(f',\n "gap": {json.dumps(self.gap)},\n "poles": ')
+        _write_numbers(fh, self.poles, 2)
+        fh.write(',\n "rank_intervals": [')
+        n = len(self.lo)
+        for i in range(0, n, _PIECE):
+            piece = slice(i, i + _PIECE)
+            cols = [json.dumps(c[piece].tolist()) for c in (self.hi, self.lo, self.pole, self.rank)]
+            cols[2] = cols[2].replace("NaN", "null")  # an untagged interval's pole
+            rows = zip(*(c[1:-1].split(", ") for c in cols))
+            fh.write(("," if i else "") + ",".join(_ROW % row for row in rows))
+        fh.write(("\n ]" if n else "]") + "\n}\n")
 
     @staticmethod
     def load(path) -> "LacunaryDecomposition":
         return LacunaryDecomposition.from_json(_read_json(path))
+
+
+# Numbers, or rank intervals, per write of ``LacunaryDecomposition.save``.
+_PIECE = 256
+
+# One rank interval as json.dumps(..., sort_keys=True, indent=1) lays it out.
+_ROW = '\n  {\n   "hi": %s,\n   "lo": %s,\n   "pole": %s,\n   "rank": %s\n  }'
+
+
+def _write_numbers(fh, values: Sequence, depth: int) -> None:
+    """Write a list of JSON numbers as json.dumps(..., indent=1) lays it out at
+    nesting ``depth``: the C encoder's "a, b" text with each ", " broken into a
+    new line, ``_PIECE`` numbers at a time."""
+    if not len(values):
+        fh.write("[]")
+        return
+    sep = ",\n" + " " * depth
+    fh.write("[" + sep[1:])
+    for i in range(0, len(values), _PIECE):
+        fh.write((sep if i else "") + json.dumps(values[i : i + _PIECE])[1:-1].replace(", ", sep))
+    fh.write("\n" + " " * (depth - 1) + "]")
 
 
 def _read_json(path):
@@ -521,35 +600,49 @@ def _rank_arrays(
     """
     mu = len(chain)
     cand = cand[np.lexsort((cand, stage))]
-    cols = []
+    # Filled in place, rank by rank, so that the arrays are built once.  A set's
+    # gaps number one more than its points, less an empty gap at each domain
+    # end the set reaches (``_gaps`` drops those); the chain's sets are nonempty.
+    sizes = [len(s) + 1 - (s[0] == domain[0]) - (s[-1] == domain[1]) for s in chain]
+    rank = np.repeat(np.arange(1, mu + 1), sizes)
+    lo, hi, pole = np.empty(len(rank)), np.empty(len(rank)), np.full(len(rank), math.nan)
+    start = 0
     for k in range(1, mu + 1):
-        lo, hi = _gaps(chain[k - 1], domain)
-        pole = np.full(len(lo), math.nan)
+        glo, ghi = _gaps(chain[k - 1], domain)
+        here = slice(start, start + len(glo))
+        lo[here], hi[here] = glo, ghi
         if k <= mu - 1:
-            i = np.searchsorted(lo, cand, side="right") - 1
-            inside = (i >= 0) & (lo[i] < cand) & (cand < hi[i])
+            i = np.searchsorted(glo, cand, side="right") - 1
+            inside = (i >= 0) & (glo[i] < cand) & (cand < ghi[i])
             gaps, first = np.unique(i[inside], return_index=True)
-            pole[gaps] = cand[inside][first]
-        cols.append((lo, hi, np.full(len(lo), k, dtype=np.int64), pole))
-    return tuple(np.concatenate(c) for c in zip(*cols))
+            pole[start + gaps] = cand[inside][first]
+        start = here.stop
+    return lo, hi, rank, pole
+
+
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The values sorted, each kept once: the first of equal ones, as a set keeps
+    the first of -0.0 and 0.0."""
+    values = values[np.argsort(values, kind="stable")]
+    first = np.ones(len(values), dtype=bool)
+    first[1:] = values[1:] != values[:-1]
+    return values[first]
 
 
 def _assemble(
     chain: Sequence[tuple[float, ...]],
     gap: float,
     domain: tuple[float, float],
-    groups: Sequence[_StageGroup],
+    groups: _GroupArrays,
 ) -> LacunaryDecomposition:
     """Decomposition of a nested chain whose stage groups are already lacunary.
 
     Every builder holds its chain as sorted, unique tuples of finite floats
     inside the domain and checks its input for that; nothing is re-checked here.
     """
-    stage = np.array([g.stage for g in groups], dtype=np.int64)
-    pole = np.array([g.pole for g in groups], dtype=float)
-    arrays = _rank_arrays(chain, domain, stage, pole)
-    poles = tuple(sorted(set(pole.tolist())))
-    return LacunaryDecomposition(tuple(chain), gap, *arrays, domain, poles, tuple(groups))
+    arrays = _rank_arrays(chain, domain, groups.stage, groups.pole)
+    poles = tuple(_sorted_unique(groups.pole).tolist())
+    return LacunaryDecomposition(tuple(chain), gap, *arrays, domain, poles, groups)
 
 
 def _split_pole(
@@ -578,22 +671,23 @@ def _split_pole(
 
 def _infer_group(
     pts: list[float], interval: tuple[float, float], gap: float, stage: int
-) -> Optional[list[_StageGroup]]:
+) -> Optional[list[tuple[int, float, tuple[float, ...]]]]:
+    """The (stage, pole, points) groups of the sorted points, or None."""
     # one-sided: the feasible pole nearest the points, beyond either end
     for ordered in (pts[::-1], pts):
         pole = infer_pole(ordered, gap, within=interval)
         if pole is not None:
             # infer_pole passed check_lacunary on ``ordered``, so the distances
             # to the pole strictly fall along it: it is the distance order
-            return [_StageGroup(stage, pole, tuple(ordered))]
+            return [(stage, pole, tuple(ordered))]
     # two-sided about an interior pole
     found = _split_pole(pts, interval, gap, range(1, len(pts)))
-    return None if found is None else [_StageGroup(stage, found[0], s) for s in found[1]]
+    return None if found is None else [(stage, found[0], s) for s in found[1]]
 
 
 def _stage_groups(
     chain: Sequence[Iterable[float]], gap: float, domain: Optional[Sequence[float]]
-) -> tuple[list[np.ndarray], tuple[float, float], list[_StageGroup]]:
+) -> tuple[list[np.ndarray], tuple[float, float], _GroupArrays]:
     """The checked chain (``_check_chain``), its domain, and its stage groups.
 
     Every group of added points falling in one adjacent interval of the
@@ -620,7 +714,7 @@ def _stage_groups(
                 f"stage {stage}: added points {stray} fall on stage boundaries or "
                 "outside the domain"
             )
-    return sets, domain, groups
+    return sets, domain, _GroupArrays.of(groups)
 
 
 def build_decomposition(
@@ -651,37 +745,47 @@ def binary_decomposition(points: Iterable[float]) -> LacunaryDecomposition:
     floor(log2 N) + 2 for N points.  One point is lacunary for every gap,
     so the output is labelled with gap 1/2.
     """
-    pts = sorted(set(_as_floats(points)))
-    if not pts:
+    pts = np.fromiter(points, dtype=float)
+    if not np.isfinite(pts).all():
+        raise InvalidArgument("points must be finite")
+    if not pts.size:
         raise InvalidArgument("points must be nonempty")
+    pts = _sorted_unique(pts)
     if len(pts) == 1:
-        dom = (pts[0] - 0.5, pts[0] + 0.5)
-        g = _StageGroup(1, pts[0], (pts[0],))
-        return _assemble([tuple(pts)], 0.5, dom, [g])
-    domain = (pts[0], pts[-1])
-    joined = np.ones(len(pts), dtype=np.int64)  # the stage each point joins at
-    groups = [
-        _StageGroup(1, pts[-1], (pts[0],)),  # two extremes: pole at the far end
-    ]
-    # Work list of index ranges (i, j) meaning interior indices i..j of pts
-    # still to be placed inside the gap (pts[i-1], pts[j+1]).
-    pending = [(1, len(pts) - 2)] if len(pts) > 2 else []
+        p = float(pts[0])
+        groups = _GroupArrays(np.ones(1, dtype=np.int64), pts, pts, np.arange(2))
+        return _assemble([(p,)], 0.5, (p - 0.5, p + 0.5), groups)
+    chain, groups = _bisection(pts)
+    return _assemble(chain, 0.5, (float(pts[0]), float(pts[-1])), groups)
+
+
+def _bisection(pts: np.ndarray) -> tuple[list[tuple[float, ...]], _GroupArrays]:
+    """The chain and stage groups of the bisection of two or more sorted, unique points."""
+    n = len(pts)
+    joined = np.ones(n, dtype=np.int64)  # the stage each point joins at
+    # Index ranges lo..hi of interior points still to be placed inside the gap
+    # (pts[lo - 1], pts[hi + 1]); each stage places the lower median of every
+    # range, then splits the range into its left part and its right part.
+    lo, hi = np.array([1]), np.array([n - 2])
     stage = 1
-    while pending:
+    while (keep := lo <= hi).any():
+        lo, hi = lo[keep], hi[keep]
+        mid = (lo + hi) // 2
         stage += 1
-        nxt = []
-        for i, j in pending:
-            mid = (i + j) // 2  # lower median
-            joined[mid] = stage
-            groups.append(_StageGroup(stage, pts[mid], (pts[mid],)))
-            if mid - 1 >= i:
-                nxt.append((i, mid - 1))
-            if j >= mid + 1:
-                nxt.append((mid + 1, j))
-        pending = nxt
-    arr = np.array(pts)
-    chain = [tuple(arr[joined <= k].tolist()) for k in range(1, stage + 1)]
-    return _assemble(chain, 0.5, domain, groups)
+        joined[mid] = stage
+        lo, hi = np.stack((lo, mid + 1), axis=1).ravel(), np.stack((mid - 1, hi), axis=1).ravel()
+    # a stage's ranges run left to right, so its groups follow the point order
+    mid = 1 + np.argsort(joined[1:-1], kind="stable")
+    # stage 1 places the two extremes: the lower one about a pole at the upper one
+    groups = _GroupArrays(
+        np.concatenate(([1], joined[mid])),
+        np.concatenate((pts[-1:], pts[mid])),
+        np.concatenate((pts[:1], pts[mid])),
+        np.arange(n),
+    )
+    values = pts.tolist()  # one float object per point, shared by the chain's sets
+    chain = [tuple(compress(values, (joined <= k).tolist())) for k in range(1, stage + 1)]
+    return chain, groups
 
 
 # ---------------------------------------------------------------------------
@@ -796,12 +900,12 @@ def complete_decomposition(decomp: LacunaryDecomposition) -> LacunaryDecompositi
     # feasible once gaps > 1/2 have been reindexed away.
     eff = min(lam, 0.5)
     batches: list[list[float]] = [[] for _ in range(decomp.order * n_sub)]
-    for g in _stage_groups(decomp.chain, lam, domain)[2]:
+    for stage, _pole, points in _stage_groups(decomp.chain, lam, domain)[2].rows():
         for i in range(n_sub):
-            batches[(g.stage - 1) * n_sub + i].extend(g.points[i::n_sub])
+            batches[(stage - 1) * n_sub + i].extend(points[i::n_sub])
 
     new_chain: list[tuple[float, ...]] = []
-    new_groups: list[_StageGroup] = []
+    new_groups: list[tuple[int, float, tuple[float, ...]]] = []
     current = np.empty(0)
     for batch in batches:
         pending = np.setdiff1d(batch, current)
@@ -820,7 +924,7 @@ def complete_decomposition(decomp: LacunaryDecomposition) -> LacunaryDecompositi
             pole, sides = found
             for side in sides:
                 done = complete_one_sided(side, pole, (lo, hi))
-                new_groups.append(_StageGroup(stage, pole, done))
+                new_groups.append((stage, pole, done))
                 added.append(done)
         current = np.unique(np.concatenate([current, *added]))
         if split or not new_chain:
@@ -828,7 +932,7 @@ def complete_decomposition(decomp: LacunaryDecomposition) -> LacunaryDecompositi
     new_chain[-1] = tuple(current.tolist())  # with the anchors of skipped batches
     if not set(decomp.final_set) <= set(new_chain[-1]):
         raise ValidationFailure("completion lost input points")
-    return _assemble(new_chain, eff, domain, new_groups)
+    return _assemble(new_chain, eff, domain, _GroupArrays.of(new_groups))
 
 
 # ---------------------------------------------------------------------------
@@ -863,11 +967,13 @@ def staged_complete_decomposition(
     """
     if mu < 1:
         raise InvalidArgument("mu must be >= 1")
+    if depth < 1:
+        raise InvalidArgument("depth must be >= 1")
     domain = _check_domain(domain)
     sign = np.array([1.0, -1.0])
     current = np.empty(0)
     chain: list[tuple[float, ...]] = []
-    groups: list[_StageGroup] = []
+    stages, poles, points = [], [], []
     for stage in range(1, mu + 1):
         lo, hi = _gaps(current, domain)
         keep, pole, scale = profile(stage, lo, hi)
@@ -881,9 +987,14 @@ def staged_complete_decomposition(
         _check_inside(pts, domain)
         current = np.unique(np.concatenate((current, pts.ravel())))
         chain.append(tuple(current.tolist()))
-        rows = map(tuple, pts.reshape(2 * len(pole), depth).tolist())
-        poles = np.repeat(pole, 2).tolist()  # upper, then lower group per interval
-        groups.extend(map(_StageGroup._make, zip(repeat(stage), poles, rows)))
+        # one group of ``depth`` points per side: upper, then lower, per interval
+        stages.append(np.full(2 * len(pole), stage, dtype=np.int64))
+        poles.append(np.repeat(pole, 2))
+        points.append(pts.ravel())
+    points = np.concatenate(points)
+    groups = _GroupArrays(
+        np.concatenate(stages), np.concatenate(poles), points, np.arange(0, len(points) + 1, depth)
+    )
     return _assemble(chain, 0.5, domain, groups)
 
 

@@ -6,6 +6,8 @@ reads, the reference for the shift-add engine's fields; ``overlap_count``
 and ``strip_contains`` count strip memberships at single frequency points,
 the brute-force oracles of ``sectors.max_overlap``.  ``random_pole_gap_chain``
 draws the interval chains fed to ``sectors.support_containment_check``.
+``binary_decomposition_loop`` is the per-point bisection loop, the reference
+for ``lacunary.binary_decomposition``'s level-by-level arrays.
 """
 
 from typing import Optional
@@ -14,7 +16,14 @@ import numpy as np
 
 from dirmax.errors import InvalidArgument
 from dirmax.grid_ops import Grid2D, _base_segments, direction_vector
-from dirmax.lacunary import LacunaryDecomposition, RankInterval
+from dirmax.lacunary import (
+    LacunaryDecomposition,
+    RankInterval,
+    _as_floats,
+    _assemble,
+    _GroupArrays,
+    _StageGroup,
+)
 from dirmax.sectors import Strip, _in_strip, _strip_arrays, validate_pole_gap_chain
 
 
@@ -124,3 +133,41 @@ def random_pole_gap_chain(
         out.append(RankInterval(jlo, jhi, k, pole))
     validate_pole_gap_chain(out)
     return out
+
+
+def binary_decomposition_loop(points) -> LacunaryDecomposition:
+    """Repeated median bisection, one point and one stage group at a time.
+
+    Stage 1 holds the extremes (the lower one as a group about a pole at the
+    upper one); each later stage places the lower median of every range of
+    interior indices still pending, left range before right range.
+    """
+    pts = sorted(set(_as_floats(points)))
+    if not pts:
+        raise InvalidArgument("points must be nonempty")
+    if len(pts) == 1:
+        dom = (pts[0] - 0.5, pts[0] + 0.5)
+        g = _StageGroup(1, pts[0], (pts[0],))
+        return _assemble([tuple(pts)], 0.5, dom, _GroupArrays.of([g]))
+    domain = (pts[0], pts[-1])
+    joined = np.ones(len(pts), dtype=np.int64)  # the stage each point joins at
+    groups = [_StageGroup(1, pts[-1], (pts[0],))]
+    # Work list of index ranges (i, j) meaning interior indices i..j of pts
+    # still to be placed inside the gap (pts[i-1], pts[j+1]).
+    pending = [(1, len(pts) - 2)] if len(pts) > 2 else []
+    stage = 1
+    while pending:
+        stage += 1
+        nxt = []
+        for i, j in pending:
+            mid = (i + j) // 2  # lower median
+            joined[mid] = stage
+            groups.append(_StageGroup(stage, pts[mid], (pts[mid],)))
+            if mid - 1 >= i:
+                nxt.append((i, mid - 1))
+            if j >= mid + 1:
+                nxt.append((mid + 1, j))
+        pending = nxt
+    arr = np.array(pts)
+    chain = [tuple(arr[joined <= k].tolist()) for k in range(1, stage + 1)]
+    return _assemble(chain, 0.5, domain, _GroupArrays.of(groups))

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +18,10 @@ from dirmax.lacunary import (
     DirectionSet,
     LacunaryDecomposition,
     binary_decomposition,
+    build_decomposition,
     random_complete_decomposition,
 )
+from test_lacunary import COMPLETION_CORPUS, reference_text
 
 
 @pytest.fixture
@@ -332,6 +335,52 @@ class TestDecompose:
         run(["decompose", "--mode", "binary", "--input", str(dirs_file), "--out", str(out)])
         leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".tmp-dirmax")]
         assert leftovers == []
+
+
+def _decompose_both_ways(argv, tmp_path, capsys):
+    """The bytes ``dirmax decompose`` writes to --out and to stdout."""
+    out = tmp_path / "out.json"
+    assert run([*argv, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert run(argv) == 0
+    return out.read_bytes(), capsys.readouterr().out.encode()
+
+
+class TestDecomposeWriter:
+    @pytest.mark.parametrize("n", [*range(1, 71), 200, 4096])
+    def test_binary_writes_reference_bytes(self, n, tmp_path, capsys):
+        points = np.random.default_rng(n).uniform(0, 1, n).tolist()
+        src = tmp_path / "points.json"
+        src.write_text(json.dumps(points))
+        argv = ["decompose", "--mode", "binary", "--input", str(src)]
+        want = reference_text(binary_decomposition(points)).encode()
+        assert _decompose_both_ways(argv, tmp_path, capsys) == (want, want)
+
+    @pytest.mark.parametrize("name", COMPLETION_CORPUS)
+    def test_chain_writes_reference_bytes(self, name, tmp_path, capsys):
+        d = COMPLETION_CORPUS[name]()
+        src = tmp_path / "decomp.json"
+        d.save(src)  # chain mode reads the chain of a decomposition file
+        argv = ["decompose", "--mode", "chain", "--input", str(src), "--gap", repr(d.gap),
+                "--domain", ",".join(map(repr, d.domain))]
+        want = reference_text(build_decomposition(d.chain, d.gap, d.domain)).encode()
+        assert _decompose_both_ways(argv, tmp_path, capsys) == (want, want)
+
+    def test_streams_in_less_memory_than_its_output(self, tmp_path):
+        # the writer never holds the whole text: 4,096 points make a 1.1 MB file
+        src, out = tmp_path / "points.json", tmp_path / "out.json"
+        src.write_text(json.dumps(np.random.default_rng(0).uniform(0, 1, 4096).tolist()))
+        argv = ["decompose", "--mode", "binary", "--input", str(src), "--out", str(out)]
+        warm = tmp_path / "warm.json"  # a first run's lazy imports are not the command's
+        warm.write_text("[0.1, 0.2, 0.3]")
+        assert run(["decompose", "--mode", "binary", "--input", str(warm), "--out", str(out)]) == 0
+        tracemalloc.start()
+        try:
+            assert run(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.stat().st_size
 
 
 class TestKernelTable:

@@ -21,7 +21,7 @@ from dirmax.harness import (
     sweep_mu,
     uniform_directions,
 )
-from dirmax.lacunary import DirectionSet, _assemble, _StageGroup
+from dirmax.lacunary import DirectionSet, _assemble, _GroupArrays, _StageGroup
 from test_lacunary import decomposition_bits, gap_list
 
 
@@ -84,7 +84,7 @@ def _staged_stage_loop(mu, depth=4, domain=(0.0, 1.0)):
                 new_pts.extend(pts)
         current = sorted(set(current) | set(new_pts))
         chain.append(tuple(current))
-    return _assemble(chain, 0.5, domain, groups)
+    return _assemble(chain, 0.5, domain, _GroupArrays.of(groups))
 
 
 class TestDirections:

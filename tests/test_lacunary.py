@@ -1,5 +1,6 @@
 """Lacunary sequences, decompositions, completions."""
 
+import io
 import json
 import math
 from bisect import bisect_right
@@ -19,6 +20,7 @@ from dirmax.lacunary import (
     _assemble,
     _check_inside,
     _gaps,
+    _GroupArrays,
     _split_by_gaps,
     _StageGroup,
     binary_decomposition,
@@ -29,7 +31,9 @@ from dirmax.lacunary import (
     infer_pole,
     perpendicular,
     random_complete_decomposition,
+    staged_complete_decomposition,
 )
+from oracles import binary_decomposition_loop
 
 
 class TestCheckLacunary:
@@ -256,6 +260,49 @@ class TestBinaryDecomposition:
         d = binary_decomposition(pts)
         assert _laminar(d.rank_intervals)
 
+    @pytest.mark.parametrize("points", [[0.1, math.nan], [math.inf], (v for v in [0.2, -math.inf])])
+    def test_non_finite_rejected(self, points):
+        with pytest.raises(InvalidArgument, match="points must be finite"):
+            binary_decomposition(points)
+
+
+def assert_same_as_loop(points):
+    """``binary_decomposition`` against the per-point loop: JSON bytes and groups."""
+    got, ref = binary_decomposition(points), binary_decomposition_loop(points)
+    assert reference_text(got) == reference_text(ref)
+    assert decomposition_bits(got) == decomposition_bits(ref)
+
+
+class TestBinaryAgainstLoop:
+    @pytest.mark.parametrize("n", [*range(1, 71), 200, 4096])
+    def test_random_sizes(self, n):
+        assert_same_as_loop(np.random.default_rng(n).uniform(0, 1, n))
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [0.9, 0.1, 0.5, 0.3, 0.7],  # unsorted
+            [0.5, 0.1, 0.5, 0.9, 0.1, 0.3],  # duplicates
+            [0.2], [0.2, 0.2, 0.2], [0.7, 0.2], [0.2, 0.7, 0.4], [-1, 3, 2],
+            [0.0, -0.0, 0.5, -1.0], [-0.0, 0.0, 0.5, -1.0],  # the first zero stays
+            [-0.0], [0.0, -0.0], [-0.0, 1.0, 0.0], (0.25 * k for k in (3, 1, 2)),
+        ],
+        ids=lambda p: str(p) if isinstance(p, list) else "generator",
+    )
+    def test_small_and_special_inputs(self, points):
+        assert_same_as_loop(list(points))
+
+    def test_signed_zero_order_matters(self):
+        # a set keeps the first of two equal floats: so do both builders
+        assert binary_decomposition([0.0, -0.0, 1.0]).chain[0][0].hex() == "0x0.0p+0"
+        assert binary_decomposition([-0.0, 0.0, 1.0]).chain[0][0].hex() == "-0x0.0p+0"
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, 1.0]), min_size=1,
+                    max_size=200))
+    def test_property(self, points):
+        assert_same_as_loop(points)
+
 
 class TestCompleteOneSided:
     def test_already_complete_unchanged(self):
@@ -411,6 +458,13 @@ class TestCompletionPaths:
 
 
 class TestRandomComplete:
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_depth_below_one_rejected(self, depth):
+        with pytest.raises(InvalidArgument, match="depth must be >= 1"):
+            random_complete_decomposition(np.random.default_rng(0), 2, depth=depth)
+        with pytest.raises(InvalidArgument, match="depth must be >= 1"):
+            staged_complete_decomposition(2, depth, lambda k, lo, hi: None)
+
     def test_all_low_rank_intervals_poled(self):
         rng = np.random.default_rng(0)
         for mu in (1, 2, 4, 6):
@@ -433,6 +487,54 @@ def decomposition_bits(d):
     """Everything a decomposition holds, as exact text: JSON plus stage groups."""
     groups = [(g.stage, g.pole.hex(), [v.hex() for v in g.points]) for g in d.groups]
     return json.dumps(d.to_json(), sort_keys=True), groups
+
+
+def reference_text(d):
+    """The bytes of the decomposition format, as the JSON module lays them out."""
+    return json.dumps(d.to_json(), sort_keys=True, indent=1) + "\n"
+
+
+def _writer_corpus():
+    """Name -> zero-argument builder of a decomposition to write."""
+    out = {}
+    for name, build in COMPLETION_CORPUS.items():
+        out[name] = build
+        out[f"{name}-completed"] = lambda build=build: complete_decomposition(build())
+    for mu in range(1, 9):
+        out[f"random-mu{mu}"] = lambda mu=mu: random_complete_decomposition(
+            np.random.default_rng(mu), mu
+        )
+    for n in (*range(1, 71), 200, 4096):
+        out[f"binary-{n}"] = lambda n=n: binary_decomposition(
+            np.random.default_rng(n).uniform(0, 1, n)
+        )
+    return out
+
+
+WRITER_CORPUS = _writer_corpus()
+
+
+class TestWriter:
+    @pytest.mark.parametrize("name", WRITER_CORPUS)
+    def test_save_writes_reference_bytes(self, name, tmp_path):
+        d = WRITER_CORPUS[name]()
+        path, stream = tmp_path / "d.json", io.StringIO()
+        d.save(path)
+        d.save(stream)
+        assert path.read_bytes() == stream.getvalue().encode() == reference_text(d).encode()
+
+    def test_loaded_file_writes_its_own_bytes(self, tmp_path):
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        random_complete_decomposition(np.random.default_rng(3), 5, 2).save(first)
+        loaded = LacunaryDecomposition.load(first)
+        loaded.save(second)
+        assert second.read_bytes() == first.read_bytes() == reference_text(loaded).encode()
+        assert loaded.groups == ()
+
+    def test_group_arrays_read_only(self):
+        d = random_complete_decomposition(np.random.default_rng(0), 3, 2)
+        assert not any(a.flags.writeable for a in d.stage_groups)
+        assert d.stage_groups.stage.dtype == d.stage_groups.offsets.dtype == np.int64
 
 
 def _random_stage_loop(rng, mu, depth=1, domain=(0.0, 1.0), fill_probability=1.0):
@@ -461,7 +563,7 @@ def _random_stage_loop(rng, mu, depth=1, domain=(0.0, 1.0), fill_probability=1.0
                 new_pts.extend(pts)
         current = sorted(set(current) | set(new_pts))
         chain.append(tuple(current))
-    return _assemble(chain, 0.5, domain, groups)
+    return _assemble(chain, 0.5, domain, _GroupArrays.of(groups))
 
 
 class TestRandomCompleteReference:
