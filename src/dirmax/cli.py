@@ -106,8 +106,7 @@ def _cmd_decompose(args) -> int:
         for flag, value in (("--domain", domain), ("--gap", args.gap)):
             if value is not None:
                 raise InvalidArgument(f"{flag} applies to chain mode only")
-        data = _json_numbers(data, "binary mode input")  # frees the parsed list before the build
-        decomp = binary_decomposition(data)
+        decomp = binary_decomposition(_json_numbers(data, "binary mode input"))
     else:
         if isinstance(data, dict):
             if "chain" not in data:

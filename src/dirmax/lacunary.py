@@ -252,14 +252,6 @@ class RankInterval:
         return self.hi - self.lo
 
 
-class _StageGroup(NamedTuple):
-    """One lacunary sequence inserted at a given stage (stage 1 = the seed set)."""
-
-    stage: int
-    pole: float
-    points: tuple[float, ...]  # ordered by decreasing distance to the pole
-
-
 class _GroupArrays(NamedTuple):
     """Stage groups as arrays: group i joins at stage ``stage[i]`` (int64) about
     ``pole[i]``, and its points, by decreasing distance to the pole, are
@@ -303,8 +295,7 @@ class LacunaryDecomposition:
     ``stage_groups`` holds the builder's stage groups as arrays
     (``_GroupArrays``: a stage and a pole per group, and the groups' points
     as one flat array with offsets; none after ``from_json``).  No operation
-    reads them, since completion re-derives them from the chain; ``groups``
-    builds them as ``_StageGroup`` tuples on each read.
+    reads them, since completion re-derives them from the chain.
     """
 
     chain: tuple[tuple[float, ...], ...]
@@ -320,10 +311,6 @@ class LacunaryDecomposition:
     def __post_init__(self):
         for a in (self.lo, self.hi, self.rank, self.pole, *self.stage_groups):
             a.flags.writeable = False
-
-    @property
-    def groups(self) -> tuple[_StageGroup, ...]:
-        return tuple(map(_StageGroup._make, self.stage_groups.rows()))
 
     @property
     def order(self) -> int:
@@ -384,30 +371,12 @@ class LacunaryDecomposition:
 
         ``path`` is a file path or an open text stream, which is left open.
         """
+        data = self.to_json()
         if hasattr(path, "write"):
-            self._write(path)
+            _write_decomposition(path, data)
             return
         with open(path, "w") as fh:
-            self._write(fh)
-
-    def _write(self, fh) -> None:
-        fh.write('{\n "chain": [')
-        for k, s in enumerate(self.chain):
-            fh.write(",\n  " if k else "\n  ")
-            _write_numbers(fh, s, 3)
-        fh.write(("\n ]" if self.chain else "]") + ',\n "domain": ')
-        _write_numbers(fh, self.domain, 2)
-        fh.write(f',\n "gap": {json.dumps(self.gap)},\n "poles": ')
-        _write_numbers(fh, self.poles, 2)
-        fh.write(',\n "rank_intervals": [')
-        n = len(self.lo)
-        for i in range(0, n, _PIECE):
-            piece = slice(i, i + _PIECE)
-            cols = [json.dumps(c[piece].tolist()) for c in (self.hi, self.lo, self.pole, self.rank)]
-            cols[2] = cols[2].replace("NaN", "null")  # an untagged interval's pole
-            rows = zip(*(c[1:-1].split(", ") for c in cols))
-            fh.write(("," if i else "") + ",".join(_ROW % row for row in rows))
-        fh.write(("\n ]" if n else "]") + "\n}\n")
+            _write_decomposition(fh, data)
 
     @staticmethod
     def load(path) -> "LacunaryDecomposition":
@@ -418,7 +387,28 @@ class LacunaryDecomposition:
 _PIECE = 256
 
 # One rank interval as json.dumps(..., sort_keys=True, indent=1) lays it out.
+_ROW_KEYS = ("hi", "lo", "pole", "rank")
 _ROW = '\n  {\n   "hi": %s,\n   "lo": %s,\n   "pole": %s,\n   "rank": %s\n  }'
+
+
+def _write_decomposition(fh, data: dict) -> None:
+    """Write a ``to_json`` dict as json.dumps(data, sort_keys=True, indent=1)
+    lays it out, with a final newline, without the pure-Python indent encoder."""
+    fh.write('{\n "chain": [')
+    for k, s in enumerate(data["chain"]):
+        fh.write(",\n  " if k else "\n  ")
+        _write_numbers(fh, s, 3)
+    fh.write(("\n ]" if data["chain"] else "]") + ',\n "domain": ')
+    _write_numbers(fh, data["domain"], 2)
+    fh.write(f',\n "gap": {json.dumps(data["gap"])},\n "poles": ')
+    _write_numbers(fh, data["poles"], 2)
+    fh.write(',\n "rank_intervals": [')
+    rows = data["rank_intervals"]
+    for i in range(0, len(rows), _PIECE):
+        piece = rows[i : i + _PIECE]
+        cols = [json.dumps([r[key] for r in piece])[1:-1].split(", ") for key in _ROW_KEYS]
+        fh.write(("," if i else "") + ",".join(_ROW % row for row in zip(*cols)))
+    fh.write(("\n ]" if rows else "]") + "\n}\n")
 
 
 def _write_numbers(fh, values: Sequence, depth: int) -> None:
@@ -986,6 +976,8 @@ def staged_complete_decomposition(
             d = d * scale[:, :, j + 1]
         _check_inside(pts, domain)
         current = np.unique(np.concatenate((current, pts.ravel())))
+        if not current.size:
+            raise InvalidArgument(f"stage {stage} leaves the set empty")
         chain.append(tuple(current.tolist()))
         # one group of ``depth`` points per side: upper, then lower, per interval
         stages.append(np.full(2 * len(pole), stage, dtype=np.int64))

@@ -7,10 +7,12 @@ and ``strip_contains`` count strip memberships at single frequency points,
 the brute-force oracles of ``sectors.max_overlap``.  ``random_pole_gap_chain``
 draws the interval chains fed to ``sectors.support_containment_check``.
 ``binary_decomposition_loop`` is the per-point bisection loop, the reference
-for ``lacunary.binary_decomposition``'s level-by-level arrays.
+for ``lacunary.binary_decomposition``'s level-by-level arrays; the reference
+loops build ``StageGroup`` tuples, and ``stage_groups`` reads a
+decomposition's group arrays back as them.
 """
 
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -22,9 +24,21 @@ from dirmax.lacunary import (
     _as_floats,
     _assemble,
     _GroupArrays,
-    _StageGroup,
 )
 from dirmax.sectors import Strip, _in_strip, _strip_arrays, validate_pole_gap_chain
+
+
+class StageGroup(NamedTuple):
+    """One lacunary sequence inserted at a given stage (stage 1 = the seed set)."""
+
+    stage: int
+    pole: float
+    points: tuple[float, ...]  # ordered by decreasing distance to the pole
+
+
+def stage_groups(d: LacunaryDecomposition) -> list[StageGroup]:
+    """The decomposition's stage groups, in the builder's order."""
+    return [StageGroup(*row) for row in d.stage_groups.rows()]
 
 
 def _bilinear_sample(grid: Grid2D, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
@@ -147,11 +161,11 @@ def binary_decomposition_loop(points) -> LacunaryDecomposition:
         raise InvalidArgument("points must be nonempty")
     if len(pts) == 1:
         dom = (pts[0] - 0.5, pts[0] + 0.5)
-        g = _StageGroup(1, pts[0], (pts[0],))
+        g = StageGroup(1, pts[0], (pts[0],))
         return _assemble([tuple(pts)], 0.5, dom, _GroupArrays.of([g]))
     domain = (pts[0], pts[-1])
     joined = np.ones(len(pts), dtype=np.int64)  # the stage each point joins at
-    groups = [_StageGroup(1, pts[-1], (pts[0],))]
+    groups = [StageGroup(1, pts[-1], (pts[0],))]
     # Work list of index ranges (i, j) meaning interior indices i..j of pts
     # still to be placed inside the gap (pts[i-1], pts[j+1]).
     pending = [(1, len(pts) - 2)] if len(pts) > 2 else []
@@ -162,7 +176,7 @@ def binary_decomposition_loop(points) -> LacunaryDecomposition:
         for i, j in pending:
             mid = (i + j) // 2  # lower median
             joined[mid] = stage
-            groups.append(_StageGroup(stage, pts[mid], (pts[mid],)))
+            groups.append(StageGroup(stage, pts[mid], (pts[mid],)))
             if mid - 1 >= i:
                 nxt.append((i, mid - 1))
             if j >= mid + 1:

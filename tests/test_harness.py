@@ -21,7 +21,8 @@ from dirmax.harness import (
     sweep_mu,
     uniform_directions,
 )
-from dirmax.lacunary import DirectionSet, _assemble, _GroupArrays, _StageGroup
+from dirmax.lacunary import DirectionSet, _assemble, _GroupArrays
+from oracles import StageGroup, stage_groups
 from test_lacunary import decomposition_bits, gap_list
 
 
@@ -80,7 +81,7 @@ def _staged_stage_loop(mu, depth=4, domain=(0.0, 1.0)):
                 for _ in range(depth):
                     pts.append(pole + sign * d)
                     d *= ratio
-                groups.append(_StageGroup(stage, pole, tuple(pts)))
+                groups.append(StageGroup(stage, pole, tuple(pts)))
                 new_pts.extend(pts)
         current = sorted(set(current) | set(new_pts))
         chain.append(tuple(current))
@@ -95,7 +96,7 @@ class TestDirections:
 
     def test_staged_construction_complete(self):
         d = staged_lacunary_directions(3, depth=3)
-        for g in d.groups:
+        for g in stage_groups(d):
             dd = [abs(v - g.pole) for v in g.points]
             assert all(0.25 <= y / x < 0.5 for x, y in zip(dd, dd[1:]))
             # first element reaches at least half the gap on its side

@@ -22,7 +22,6 @@ from dirmax.lacunary import (
     _gaps,
     _GroupArrays,
     _split_by_gaps,
-    _StageGroup,
     binary_decomposition,
     build_decomposition,
     check_lacunary,
@@ -33,7 +32,7 @@ from dirmax.lacunary import (
     random_complete_decomposition,
     staged_complete_decomposition,
 )
-from oracles import binary_decomposition_loop
+from oracles import StageGroup, binary_decomposition_loop, stage_groups
 
 
 class TestCheckLacunary:
@@ -382,7 +381,7 @@ class TestCompleteDecomposition:
         assert set(d.final_set) <= set(c.final_set)
         assert _laminar(c.rank_intervals)
         # every completed stage group satisfies the complete profile
-        for g in c.groups:
+        for g in stage_groups(c):
             dd = [abs(v - g.pole) for v in g.points]
             assert all(RATIO_LO <= y / x < RATIO_HI for x, y in zip(dd, dd[1:]))
 
@@ -440,7 +439,7 @@ class TestCompletionPaths:
     @pytest.mark.parametrize("name", COMPLETION_CORPUS)
     def test_groups_are_complete(self, name):
         c = complete_decomposition(COMPLETION_CORPUS[name]())
-        for g in c.groups:
+        for g in stage_groups(c):
             assert g.pole not in g.points
             assert len({v > g.pole for v in g.points}) == 1  # one side of the pole
             d = [abs(v - g.pole) for v in g.points]
@@ -465,6 +464,13 @@ class TestRandomComplete:
         with pytest.raises(InvalidArgument, match="depth must be >= 1"):
             staged_complete_decomposition(2, depth, lambda k, lo, hi: None)
 
+    def test_profile_keeping_nothing_rejected(self):
+        def keep_none(stage, lo, hi):
+            return np.array([], dtype=int), np.empty(0), np.empty((0, 2, 2))
+
+        with pytest.raises(InvalidArgument, match="stage 1 leaves the set empty"):
+            staged_complete_decomposition(2, 1, keep_none)
+
     def test_all_low_rank_intervals_poled(self):
         rng = np.random.default_rng(0)
         for mu in (1, 2, 4, 6):
@@ -477,7 +483,7 @@ class TestRandomComplete:
     def test_groups_are_complete_profiles(self):
         rng = np.random.default_rng(1)
         d = random_complete_decomposition(rng, 3, depth=3)
-        for g in d.groups:
+        for g in stage_groups(d):
             dd = [abs(v - g.pole) for v in g.points]
             assert dd[0] > 0
             assert all(RATIO_LO <= y / x < RATIO_HI for x, y in zip(dd, dd[1:]))
@@ -485,7 +491,7 @@ class TestRandomComplete:
 
 def decomposition_bits(d):
     """Everything a decomposition holds, as exact text: JSON plus stage groups."""
-    groups = [(g.stage, g.pole.hex(), [v.hex() for v in g.points]) for g in d.groups]
+    groups = [(g.stage, g.pole.hex(), [v.hex() for v in g.points]) for g in stage_groups(d)]
     return json.dumps(d.to_json(), sort_keys=True), groups
 
 
@@ -529,7 +535,7 @@ class TestWriter:
         loaded = LacunaryDecomposition.load(first)
         loaded.save(second)
         assert second.read_bytes() == first.read_bytes() == reference_text(loaded).encode()
-        assert loaded.groups == ()
+        assert stage_groups(loaded) == []
 
     def test_group_arrays_read_only(self):
         d = random_complete_decomposition(np.random.default_rng(0), 3, 2)
@@ -559,7 +565,7 @@ def _random_stage_loop(rng, mu, depth=1, domain=(0.0, 1.0), fill_probability=1.0
                 for _ in range(depth):
                     pts.append(pole + sign * d)
                     d *= rng.uniform(0.26, 0.49)
-                groups.append(_StageGroup(stage, pole, tuple(pts)))
+                groups.append(StageGroup(stage, pole, tuple(pts)))
                 new_pts.extend(pts)
         current = sorted(set(current) | set(new_pts))
         chain.append(tuple(current))
@@ -716,7 +722,7 @@ class TestRankArrays:
     def test_matches_loop_reference(self, name):
         d = REFERENCE_CORPUS[name]()
         got = array_hex(d)
-        assert got == interval_hex(_assign_poles_loop(d.chain, d.domain, d.groups))
+        assert got == interval_hex(_assign_poles_loop(d.chain, d.domain, stage_groups(d)))
         assert d.rank.dtype == np.int64
         assert not any(a.flags.writeable for a in (d.lo, d.hi, d.rank, d.pole))
         # the edge objects carry the same numbers
