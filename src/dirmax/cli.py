@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -35,6 +36,7 @@ from .lacunary import (
     DirectionSet,
     LacunaryDecomposition,
     RankInterval,
+    _interval_columns,
     _json_numbers,
     _read_json,
     binary_decomposition,
@@ -55,11 +57,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _atomic_write(path: str, save: Callable[[str], None]) -> None:
-    """Run ``save`` on a temp file next to ``path``, then rename it into place."""
+    """Run ``save`` on a temp file next to ``path``, then rename it into place, with
+    the mode ``open(path, "w")`` gives (0o666 less the umask), not mkstemp's 0o600."""
     d = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-dirmax-")
     os.close(fd)
     try:
+        umask = os.umask(0)  # reading the umask means setting it
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         save(tmp)
         os.replace(tmp, path)
     except BaseException:
@@ -197,20 +203,11 @@ def _cmd_overlap(args) -> int:
 
 
 def _cmd_check_support(args) -> int:
-    data = _read_json(args.chain)
-    try:
-        rows = [(d["lo"], d["hi"], d.get("pole")) for d in data]
-    except (AttributeError, KeyError, TypeError) as exc:
-        raise InvalidArgument(
-            f"{args.chain}: expected a JSON array of {{lo, hi, pole}} objects ({exc!r})"
-        ) from None
-    los, his, poles = list(zip(*rows)) or [()] * 3
-    for name, col in (("lo", los), ("hi", his), ("pole", [p for p in poles if p is not None])):
-        _json_numbers(col, f"{args.chain}: interval {name} values")
     # floats throughout, so that 4 and 4.0 give the same report
+    cols = _interval_columns(_read_json(args.chain), f"{args.chain}: interval")
     chain = [
-        RankInterval(float(lo), float(hi), k + 1, None if pole is None else float(pole))
-        for k, (lo, hi, pole) in enumerate(rows)
+        RankInterval(lo, hi, k, None if math.isnan(pole) else pole)
+        for k, (lo, hi, pole) in enumerate(zip(*(c.tolist() for c in cols)), 1)
     ]
     rep = support_containment_check(chain, args.theta, args.R)
     payload = {

@@ -200,9 +200,6 @@ class Grid2D:
         data = np.frombuffer(raw, dtype="<f8").reshape(h, w)
         return Grid2D(data.copy(), spacing)
 
-    def save_csv(self, path) -> None:
-        np.savetxt(path, self.values, delimiter=",")
-
     @staticmethod
     def load_csv(path, spacing: float) -> "Grid2D":
         try:

@@ -89,10 +89,6 @@ class DirectionSet:
     def __iter__(self):
         return iter(self.values)
 
-    def canonical_lines(self) -> tuple[float, ...]:
-        """Angle fractions reduced mod 1/2: equal results mean equal lines."""
-        return tuple(sorted({round(v % 0.5, 15) for v in self.values}))
-
     @staticmethod
     def from_slopes(slopes: Iterable[float]) -> "DirectionSet":
         """Convert slopes a (direction (1, a)) to angle fractions."""
@@ -274,12 +270,6 @@ class _GroupArrays(NamedTuple):
             np.concatenate(([0], np.cumsum(sizes))),
         )
 
-    def rows(self) -> list[tuple[int, float, tuple[float, ...]]]:
-        """(stage, pole, points) per group, as Python numbers."""
-        pts, ends = self.points.tolist(), self.offsets.tolist()
-        cols = zip(self.stage.tolist(), self.pole.tolist(), ends, ends[1:])
-        return [(k, p, tuple(pts[a:b])) for k, p, a, b in cols]
-
 
 @dataclass(frozen=True, eq=False)
 class LacunaryDecomposition:
@@ -347,7 +337,9 @@ class LacunaryDecomposition:
     def from_json(data: dict) -> "LacunaryDecomposition":
         try:
             chain = [_json_numbers(s, "each chain set") for s in data["chain"]]
-            lo, hi, rank, pole = _rank_columns(data["rank_intervals"])
+            lo, hi, rank, pole = _interval_columns(
+                data["rank_intervals"], "rank interval", ("lo", "hi", "rank")
+            )
             domain = _json_numbers(data["domain"], "domain") if "domain" in data else None
             tags = np.unique(pole[~np.isnan(pole)])
             poles = _json_numbers(data["poles"], "poles") if "poles" in data else tags
@@ -356,8 +348,6 @@ class LacunaryDecomposition:
             raise InvalidArgument(f"decomposition JSON lacks the key {exc}") from None
         except (AttributeError, TypeError) as exc:
             raise InvalidArgument(f"malformed decomposition JSON: {exc}") from None
-        if domain is not None and (len(domain) != 2 or not domain[0] < domain[1]):
-            raise InvalidArgument(f"domain {domain.tolist()} is not [lo, hi] with lo < hi")
         poles = tuple(poles.tolist())
         _check_gap(gap)
         sets, domain = _check_chain(chain, domain)
@@ -445,16 +435,32 @@ def _json_numbers(value, what: str) -> np.ndarray:
     raise InvalidArgument(f"{what} must hold only finite JSON numbers")
 
 
+def _interval_columns(rows, what: str, keys: Sequence[str] = ("lo", "hi")) -> tuple:
+    """Float arrays of JSON interval rows, one per key, then the poles (NaN where null
+    or missing); InvalidArgument naming ``what`` unless ``rows`` is an array of
+    objects with the keys and every value is a finite JSON number (``_json_numbers``)."""
+    try:
+        cols = [[d[k] for d in rows] for k in keys]
+        tags = [d.get("pole") for d in rows]
+    except (AttributeError, KeyError, TypeError):
+        fields = ", ".join((*keys, "pole"))
+        raise InvalidArgument(f"{what}s must be a JSON array of {{{fields}}} objects") from None
+    cols = [_json_numbers(c, f"{what} {k} values") for k, c in zip(keys, cols)]
+    tagged = np.array([p is not None for p in tags], dtype=bool)
+    pole = np.full(len(tags), math.nan)
+    pole[tagged] = _json_numbers([p for p in tags if p is not None], f"{what} pole values")
+    return (*cols, pole)
+
+
 # ---------------------------------------------------------------------------
 # adjacent intervals
 # ---------------------------------------------------------------------------
 
 
 def _check_domain(domain: Sequence[float]) -> tuple[float, float]:
-    a, b = float(domain[0]), float(domain[1])
-    if not a < b:
-        raise InvalidArgument(f"empty domain ({a}, {b})")
-    return a, b
+    if len(domain) != 2 or not domain[0] < domain[1]:
+        raise InvalidArgument(f"domain {[float(v) for v in domain]} is not [lo, hi] with lo < hi")
+    return float(domain[0]), float(domain[1])
 
 
 def _check_inside(points: Sequence[float], domain: tuple[float, float]) -> None:
@@ -478,6 +484,12 @@ def _gaps(points: Sequence[float], domain: tuple[float, float]) -> tuple[np.ndar
     return lo[nonempty], hi[nonempty]
 
 
+def _gap_of(lo: np.ndarray, hi: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Index of the gap (lo[i], hi[i]) of ``_gaps`` strictly holding each value, -1 if none."""
+    i = np.searchsorted(lo, values, side="right") - 1
+    return np.where((i >= 0) & (lo[i] < values) & (values < hi[i]), i, -1)
+
+
 def _split_by_gaps(
     points: np.ndarray, current: np.ndarray, domain: tuple[float, float]
 ) -> tuple[list[tuple[float, float, list[float]]], list[float]]:
@@ -488,12 +500,19 @@ def _split_by_gaps(
     boundary or on the set.
     """
     lo, hi = _gaps(current, domain)
-    i = np.searchsorted(lo, points, side="right") - 1
-    inside = (i >= 0) & (lo[i] < points) & (points < hi[i])
+    i = _gap_of(lo, hi, points)
+    inside = i >= 0
     gap, start = np.unique(i[inside], return_index=True)
     pts = np.split(points[inside], start[1:])
     split = [(a, b, p.tolist()) for a, b, p in zip(lo[gap].tolist(), hi[gap].tolist(), pts)]
     return split, points[~inside].tolist()
+
+
+def _span(points: np.ndarray) -> tuple[float, float]:
+    """The default domain of sorted points: from the first to the last, widened
+    by 1/2 on each side when they are one point.  InvalidArgument for NaN."""
+    lo, hi = _as_floats(points[[0, -1]])
+    return (lo - 0.5, hi + 0.5) if lo == hi else (lo, hi)
 
 
 def _check_chain(
@@ -503,16 +522,13 @@ def _check_chain(
 
     InvalidArgument unless every value is finite and inside the closed
     domain, the first set is nonempty and each set contains the one before
-    it; containment is checked before nesting.  The default domain spans the
-    final set, widened by 1/2 on each side when that set is a single point.
+    it; containment is checked before nesting.  The default domain is the
+    final set's ``_span``.
     """
     sets = [np.unique(np.fromiter(s, dtype=float)) for s in chain]
     if not sets or not sets[0].size:
         raise InvalidArgument("chain must contain at least one nonempty set")
-    if domain is None:
-        lo, hi = _as_floats(sets[-1][[0, -1]])  # NaN sorts last
-        domain = (lo - 0.5, hi + 0.5) if lo == hi else (lo, hi)
-    domain = _check_domain(domain)
+    domain = _check_domain(_span(sets[-1]) if domain is None else domain)  # NaN sorts last
     _check_inside(np.concatenate(sets), domain)
     for k in range(1, len(sets)):
         if not np.isin(sets[k - 1], sets[k], assume_unique=True).all():
@@ -525,46 +541,28 @@ def _check_chain(
 # ---------------------------------------------------------------------------
 
 
-def _rank_columns(rows) -> tuple[np.ndarray, ...]:
-    """(lo, hi, rank, pole) float arrays of JSON rank intervals, pole NaN if null.
-
-    Values must be finite JSON numbers (``_json_numbers``).  The first faulty
-    row is then built as a ``RankInterval``, which raises its error.
-    """
-    rows = [(d["lo"], d["hi"], d["rank"], d.get("pole")) for d in rows]
-    lo, hi, rank, tags = list(zip(*rows)) or [()] * 4
-    lo, hi, rank = (_json_numbers(c, f"rank interval {n} values")
-                    for n, c in zip(("lo", "hi", "rank"), (lo, hi, rank)))
-    tagged = np.array([p is not None for p in tags], dtype=bool)
-    pole = np.full(len(tags), math.nan)
-    pole[tagged] = _json_numbers([p for p in tags if p is not None], "rank interval pole values")
-    ok = (lo < hi) & (rank >= 1) & (rank == np.floor(rank)) & (~tagged | (lo < pole) & (pole < hi))
-    if not ok.all():
-        i = ok.argmin()
-        RankInterval(lo[i], hi[i], rank[i], pole[i] if tagged[i] else None)
-    return lo, hi, rank, pole
-
-
 def _check_rank_arrays(chain, domain, lo, hi, rank, pole, poles) -> None:
     """InvalidArgument unless the arrays are the rank intervals of the chain.
 
-    Ranks run 1..mu in order, rank k holds exactly the nonempty gaps of
-    chain set k in the domain, left to right, no top-rank interval carries a
-    pole tag, and every pole tag is one of ``poles``.  The chain has passed
-    ``_check_chain``.
+    Ranks, ``lo`` and ``hi`` must equal ``_rank_arrays``' for the chain, no
+    top-rank interval may carry a pole tag, and every pole tag must be one
+    of ``poles``; ValidationFailure for a tag outside its interval.  The
+    chain has passed ``_check_chain``.
     """
-    gaps = [_gaps(s, domain) for s in chain]
-    want_rank = np.repeat(np.arange(1, len(chain) + 1), [len(g[0]) for g in gaps])
+    want_lo, want_hi, want_rank, _ = _rank_arrays(chain, domain, np.empty(0, np.int64), np.empty(0))
     if not np.array_equal(rank, want_rank):
         raise InvalidArgument(
             f"rank intervals must run through ranks 1..{len(chain)} in order, "
             "one per gap of each chain set"
         )
-    want_lo, want_hi = (np.concatenate(c) for c in zip(*gaps))
     bad = (lo != want_lo) | (hi != want_hi)
     if bad.any():
         k = int(rank[bad.argmax()])
         raise InvalidArgument(f"the rank-{k} intervals are not the gaps of chain set {k}")
+    outside = ~np.isnan(pole) & ~((lo < pole) & (pole < hi))
+    if outside.any():
+        i = outside.argmax()
+        raise ValidationFailure(f"pole {pole[i]} outside interval ({lo[i]}, {hi[i]})")
     if not np.isnan(pole[rank == len(chain)]).all():
         raise InvalidArgument("a top-rank interval carries a pole tag")
     foreign = np.setdiff1d(pole[~np.isnan(pole)], np.asarray(poles, dtype=float))
@@ -588,25 +586,18 @@ def _rank_arrays(
     means smallest (stage, pole value) strictly inside: poles from earlier
     stages win, ties within a stage resolve left to right.
     """
-    mu = len(chain)
+    gaps = [_gaps(s, domain) for s in chain]
+    lo, hi = (np.concatenate(c) for c in zip(*gaps))
+    rank = np.repeat(np.arange(1, len(chain) + 1), [len(g) for g, _ in gaps])
+    pole = np.full(len(rank), math.nan)
     cand = cand[np.lexsort((cand, stage))]
-    # Filled in place, rank by rank, so that the arrays are built once.  A set's
-    # gaps number one more than its points, less an empty gap at each domain
-    # end the set reaches (``_gaps`` drops those); the chain's sets are nonempty.
-    sizes = [len(s) + 1 - (s[0] == domain[0]) - (s[-1] == domain[1]) for s in chain]
-    rank = np.repeat(np.arange(1, mu + 1), sizes)
-    lo, hi, pole = np.empty(len(rank)), np.empty(len(rank)), np.full(len(rank), math.nan)
     start = 0
-    for k in range(1, mu + 1):
-        glo, ghi = _gaps(chain[k - 1], domain)
-        here = slice(start, start + len(glo))
-        lo[here], hi[here] = glo, ghi
-        if k <= mu - 1:
-            i = np.searchsorted(glo, cand, side="right") - 1
-            inside = (i >= 0) & (glo[i] < cand) & (cand < ghi[i])
-            gaps, first = np.unique(i[inside], return_index=True)
-            pole[start + gaps] = cand[inside][first]
-        start = here.stop
+    for glo, ghi in gaps[:-1]:
+        i = _gap_of(glo, ghi, cand)
+        inside = i >= 0
+        gap, first = np.unique(i[inside], return_index=True)
+        pole[start + gap] = cand[inside][first]
+        start += len(glo)
     return lo, hi, rank, pole
 
 
@@ -677,8 +668,9 @@ def _infer_group(
 
 def _stage_groups(
     chain: Sequence[Iterable[float]], gap: float, domain: Optional[Sequence[float]]
-) -> tuple[list[np.ndarray], tuple[float, float], _GroupArrays]:
-    """The checked chain (``_check_chain``), its domain, and its stage groups.
+) -> tuple[list[np.ndarray], tuple[float, float], list[tuple[int, float, tuple[float, ...]]]]:
+    """The checked chain (``_check_chain``), its domain, and its stage groups
+    as (stage, pole, points) triples.
 
     Every group of added points falling in one adjacent interval of the
     previous stage must admit a pole with the given gap (``infer_pole``).
@@ -704,7 +696,7 @@ def _stage_groups(
                 f"stage {stage}: added points {stray} fall on stage boundaries or "
                 "outside the domain"
             )
-    return sets, domain, _GroupArrays.of(groups)
+    return sets, domain, groups
 
 
 def build_decomposition(
@@ -718,7 +710,7 @@ def build_decomposition(
     stage groups (``_stage_groups``) that appeared inside them.
     """
     sets, domain, groups = _stage_groups(chain, gap, domain)
-    return _assemble([tuple(s.tolist()) for s in sets], gap, domain, groups)
+    return _assemble([tuple(s.tolist()) for s in sets], gap, domain, _GroupArrays.of(groups))
 
 
 # ---------------------------------------------------------------------------
@@ -735,22 +727,16 @@ def binary_decomposition(points: Iterable[float]) -> LacunaryDecomposition:
     floor(log2 N) + 2 for N points.  One point is lacunary for every gap,
     so the output is labelled with gap 1/2.
     """
-    pts = np.fromiter(points, dtype=float)
-    if not np.isfinite(pts).all():
-        raise InvalidArgument("points must be finite")
+    pts = _sorted_unique(np.fromiter(points, dtype=float))
     if not pts.size:
         raise InvalidArgument("points must be nonempty")
-    pts = _sorted_unique(pts)
-    if len(pts) == 1:
-        p = float(pts[0])
-        groups = _GroupArrays(np.ones(1, dtype=np.int64), pts, pts, np.arange(2))
-        return _assemble([(p,)], 0.5, (p - 0.5, p + 0.5), groups)
+    domain = _span(pts)  # rejects non-finite points, which sort to the ends
     chain, groups = _bisection(pts)
-    return _assemble(chain, 0.5, (float(pts[0]), float(pts[-1])), groups)
+    return _assemble(chain, 0.5, domain, groups)
 
 
 def _bisection(pts: np.ndarray) -> tuple[list[tuple[float, ...]], _GroupArrays]:
-    """The chain and stage groups of the bisection of two or more sorted, unique points."""
+    """The chain and stage groups of the bisection of sorted, unique points."""
     n = len(pts)
     joined = np.ones(n, dtype=np.int64)  # the stage each point joins at
     # Index ranges lo..hi of interior points still to be placed inside the gap
@@ -766,12 +752,14 @@ def _bisection(pts: np.ndarray) -> tuple[list[tuple[float, ...]], _GroupArrays]:
         lo, hi = np.stack((lo, mid + 1), axis=1).ravel(), np.stack((mid - 1, hi), axis=1).ravel()
     # a stage's ranges run left to right, so its groups follow the point order
     mid = 1 + np.argsort(joined[1:-1], kind="stable")
-    # stage 1 places the two extremes: the lower one about a pole at the upper one
+    # stage 1 places the two extremes: the lower one about a pole at the upper
+    # one (a single point about itself); every group is one point
+    points = np.concatenate((pts[:1], pts[mid]))
     groups = _GroupArrays(
         np.concatenate(([1], joined[mid])),
         np.concatenate((pts[-1:], pts[mid])),
-        np.concatenate((pts[:1], pts[mid])),
-        np.arange(n),
+        points,
+        np.arange(len(points) + 1),
     )
     values = pts.tolist()  # one float object per point, shared by the chain's sets
     chain = [tuple(compress(values, (joined <= k).tolist())) for k in range(1, stage + 1)]
@@ -890,7 +878,7 @@ def complete_decomposition(decomp: LacunaryDecomposition) -> LacunaryDecompositi
     # feasible once gaps > 1/2 have been reindexed away.
     eff = min(lam, 0.5)
     batches: list[list[float]] = [[] for _ in range(decomp.order * n_sub)]
-    for stage, _pole, points in _stage_groups(decomp.chain, lam, domain)[2].rows():
+    for stage, _pole, points in _stage_groups(decomp.chain, lam, domain)[2]:
         for i in range(n_sub):
             batches[(stage - 1) * n_sub + i].extend(points[i::n_sub])
 

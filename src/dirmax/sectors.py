@@ -347,14 +347,20 @@ class ContainmentReport:
     def all_contained(self) -> bool:
         return all(c.contained for c in self.checks)
 
-    @property
-    def min_margin(self) -> float:
-        return min((c.corner_margin for c in self.checks), default=math.inf)
 
-
-def _strictly_inside(x: float, j: RankInterval) -> float:
-    """``x`` clamped to the floats strictly inside the open interval ``j``."""
-    return min(max(x, math.nextafter(j.lo, j.hi)), math.nextafter(j.hi, j.lo))
+def _chain_strips(chain: Sequence[RankInterval], theta: float) -> list[Strip]:
+    """The strips S_{p_k}(J_k), k < n, then S_theta(J_n) of a pole-gap chain
+    (``validate_pole_gap_chain``) whose closed last interval holds theta.  On
+    its boundary, theta gives way to the nearest float strictly inside: the
+    slab test is what matters."""
+    if not chain:
+        raise InvalidArgument("chain must be nonempty")
+    validate_pole_gap_chain(chain)
+    last = chain[-1]
+    if not (last.lo <= theta <= last.hi):
+        raise InvalidArgument("theta must lie in the last interval")
+    center = min(max(theta, math.nextafter(last.lo, last.hi)), math.nextafter(last.hi, last.lo))
+    return [Strip(j.lo, j.hi, j.pole) for j in chain[:-1]] + [Strip(last.lo, last.hi, center)]
 
 
 def support_containment_check(
@@ -373,16 +379,10 @@ def support_containment_check(
     The x1 edge xi1 = r_k coincides with the strip activation threshold; the
     check accepts the closure there and reports margins for the slab bound.
     """
-    if not chain:
-        raise InvalidArgument("chain must be nonempty")
     if not (R > 0 and math.isfinite(R)):
         raise InvalidArgument(f"R must be a positive real, got {R}")
-    validate_pole_gap_chain(chain)
+    strips = _chain_strips(chain, theta)
     n = len(chain)
-    if not (chain[0].lo <= theta <= chain[0].hi):
-        raise InvalidArgument("theta must lie in the outer interval")
-    if not (chain[-1].lo <= theta <= chain[-1].hi):
-        raise InvalidArgument("theta must lie in the last interval")
     r = [1.0 / j.width for j in chain]
     m = 0
     for k in range(1, n + 1):
@@ -390,13 +390,8 @@ def support_containment_check(
             m = k
     checks = []
     for k in range(1, m + 1):
-        if k < n:
-            band = FrequencyBand(r[k - 1], 2.0 * r[k], theta)
-            strip = Strip(chain[k - 1].lo, chain[k - 1].hi, chain[k - 1].pole)
-        else:
-            band = FrequencyBand(r[k - 1], 2.0 * R, theta)
-            # theta may sit on the interval boundary: the slab test is what matters
-            strip = Strip(chain[k - 1].lo, chain[k - 1].hi, _strictly_inside(theta, chain[k - 1]))
+        band = FrequencyBand(r[k - 1], 2.0 * (r[k] if k < n else R), theta)
+        strip = strips[k - 1]
         margin = min(
             strip.half_width - abs(x2 - strip.center * x1)
             for x1, x2 in band.corners()
@@ -483,18 +478,12 @@ def strip_decomposition_report(
     kernel's mass inside the grid.  The left side skips ``gamma_op``'s
     truncation guard: the report is a diagnostic, not a certified bound.
     """
-    validate_pole_gap_chain(chain)
-    n = len(chain)
-    if not (chain[-1].lo <= theta <= chain[-1].hi):
-        raise InvalidArgument("theta must lie in the innermost interval")
+    strips = _chain_strips(chain, theta)
     fa = f.abs()
     lhs = np.abs(gamma_op(fa, theta, R, h, check_truncation=False).values)
     rhs = strong_maximal(fa, cfg).values.copy()
-    last = chain[-1]
-    pieces = [(Strip(last.lo, last.hi, _strictly_inside(theta, last)), theta)]
-    for k in range(n - 1):
-        j = chain[k]
-        pieces.append((Strip(j.lo, j.hi, j.pole), j.pole))
+    # the theta strip first, then the pole strips in chain order
+    pieces = [(strips[-1], theta)] + [(s, s.center) for s in strips[:-1]]
     xi1, xi2 = frequency_lattice(f)
     fhat = np.fft.fft2(fa.values)
     for strip, slope in pieces:

@@ -37,8 +37,11 @@ class StageGroup(NamedTuple):
 
 
 def stage_groups(d: LacunaryDecomposition) -> list[StageGroup]:
-    """The decomposition's stage groups, in the builder's order."""
-    return [StageGroup(*row) for row in d.stage_groups.rows()]
+    """The decomposition's stage groups, in the builder's order, as Python numbers."""
+    g = d.stage_groups
+    pts, ends = g.points.tolist(), g.offsets.tolist()
+    cols = zip(g.stage.tolist(), g.pole.tolist(), ends, ends[1:])
+    return [StageGroup(k, p, tuple(pts[a:b])) for k, p, a, b in cols]
 
 
 def _bilinear_sample(grid: Grid2D, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:

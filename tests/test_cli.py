@@ -234,6 +234,14 @@ class TestExitCodes:
             *[(["overlap", "--decomp", f"DECOMP_{key.upper()}_{kind}"],
                f"{key} must hold only finite JSON numbers")
               for key in ("domain", "poles", "gap") for kind in ("STRING", "BOOLEAN")],
+            # both interval readers reject rows that are not {lo, hi, ...} objects
+            *[(["check-support", "--chain", name, "--theta", "0.4", "--R", "1e4"],
+               f"{name}: intervals must be a JSON array of {{lo, hi, pole}} objects")
+              for name in ("CHAIN_NUMBERS", "CHAIN_NO_LO", "CHAIN_OBJECT")],
+            *[(["overlap", "--decomp", name],
+               "rank intervals must be a JSON array of {lo, hi, rank, pole} objects")
+              for name in ("DECOMP_ROWS_NUMBERS", "DECOMP_ROWS_NO_RANK")],
+            (["overlap", "--decomp", "DECOMP_NO_CHAIN"], "decomposition JSON lacks the key 'chain'"),
         ],
         ids=["binary-gap-above-one", "binary-gap-negative", "chain-gap-above-one",
              "binary-domain", "decomposition-gap", "decomposition-not-nested",
@@ -247,7 +255,10 @@ class TestExitCodes:
              "chain-string", "chain-boolean",
              "decomposition-domain-string", "decomposition-domain-boolean",
              "decomposition-poles-string", "decomposition-poles-boolean",
-             "decomposition-gap-string", "decomposition-gap-boolean"],
+             "decomposition-gap-string", "decomposition-gap-boolean",
+             "support-rows-numbers", "support-row-without-lo", "support-object",
+             "decomposition-rows-numbers", "decomposition-row-without-rank",
+             "decomposition-without-chain"],
     )
     def test_malformed_input_corpus(
         self, grid_file, dirs_file, tmp_path, capsys, recwarn, argv, message
@@ -285,12 +296,20 @@ class TestExitCodes:
             "DECOMP_POLES_BOOLEAN": json.dumps({**good, "poles": [*good["poles"], True]}),
             "DECOMP_GAP_STRING": json.dumps({**good, "gap": "0.5"}),
             "DECOMP_GAP_BOOLEAN": json.dumps({**good, "gap": True}),
+            "CHAIN_NUMBERS": "[1]", "CHAIN_NO_LO": '[{"hi": 1.0}]',
+            "CHAIN_OBJECT": '{"lo": 0.0, "hi": 1.0}',
+            "DECOMP_ROWS_NUMBERS": json.dumps({**good, "rank_intervals": [1]}),
+            "DECOMP_ROWS_NO_RANK": json.dumps({**good, "rank_intervals": [{"lo": 0.0, "hi": 1.0}]}),
+            "DECOMP_NO_CHAIN": json.dumps({k: v for k, v in good.items() if k != "chain"}),
         }
         for name, text in texts.items():
             files[name] = tmp_path / f"{name.lower()}.json"
             files[name].write_text(text)
         out = tmp_path / "out"
         argv = [str(files.get(a, a)) for a in argv] + ["--out", str(out)]
+        head, sep, rest = message.partition(": ")
+        if head in files:  # a message that names its file starts with its path
+            message = f"{files[head]}{sep}{rest}"
         assert run(argv) == 1
         assert capsys.readouterr().err == f"dirmax: {message}\n"
         assert not out.exists()
@@ -335,6 +354,24 @@ class TestDecompose:
         run(["decompose", "--mode", "binary", "--input", str(dirs_file), "--out", str(out)])
         leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".tmp-dirmax")]
         assert leftovers == []
+
+
+@pytest.mark.parametrize("command", ["decompose", "kernel-table", "apply"])
+def test_out_file_mode_follows_the_umask(command, grid_file, dirs_file, tmp_path):
+    # as open(path, "w") creates a file: 0o666 less the umask, not mkstemp's 0o600
+    argv = {
+        "decompose": ["decompose", "--mode", "binary", "--input", str(dirs_file)],
+        "kernel-table": ["kernel-table", "--kind", "vp", "--range", "0,1", "--samples", "3"],
+        "apply": ["apply", "--op", "m1", "--grid", str(grid_file),
+                  "--directions", str(dirs_file)],
+    }[command]
+    out = tmp_path / "out"
+    old = os.umask(0o022)
+    try:
+        assert run([*argv, "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    assert out.stat().st_mode & 0o777 == 0o644
 
 
 def _decompose_both_ways(argv, tmp_path, capsys):
@@ -467,7 +504,7 @@ class TestApply:
 
     def test_csv_grid_needs_spacing(self, tmp_path, dirs_file):
         src = tmp_path / "g.csv"
-        Grid2D(np.ones((16, 16)), 1 / 8).save_csv(src)
+        np.savetxt(src, np.ones((16, 16)), delimiter=",")
         code = run(["apply", "--op", "m0", "--grid", str(src),
                     "--directions", str(dirs_file), "--out", str(tmp_path / "o.grd")])
         assert code == 1  # missing --spacing

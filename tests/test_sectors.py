@@ -513,6 +513,20 @@ class TestStripDecomposition:
         rep = strip_decomposition_report(g, chain, theta=0.5, R=5.0, cfg=CFG5, h=1.0)
         assert np.isfinite(rep.max_ratio)
 
+    @pytest.mark.parametrize(
+        "n, theta, message",
+        [(3, -5.0, "theta must lie in the last interval"),
+         (3, 5.0, "theta must lie in the last interval"), (0, 0.5, "chain must be nonempty")],
+    )
+    def test_rejected_as_by_the_containment_check(self, n, theta, message):
+        # both read their strips off the chain the same way
+        chain = random_pole_gap_chain(np.random.default_rng(0), n) if n else []
+        g = Grid2D(np.ones((8, 8)), 0.25)
+        for check in (lambda: support_containment_check(chain, theta, R=100.0),
+                      lambda: strip_decomposition_report(g, chain, theta, R=5.0, cfg=CFG5)):
+            with pytest.raises(InvalidArgument, match=f"^{message}$"):
+                check()
+
     def test_randomized_stability(self):
         rng = np.random.default_rng(12)
         ratios = []
