@@ -18,6 +18,7 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -243,6 +244,7 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+@functools.cache  # one parser per process: parse_args keeps no state between calls
 def _build_parser() -> _Parser:
     p = _Parser(prog="dirmax", description=__doc__.splitlines()[0])
     p.add_argument("--seed", type=int, default=0, help="seed for all randomness (default 0)")

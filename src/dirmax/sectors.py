@@ -10,10 +10,15 @@ frequency 1/|J|.  Every membership test here calls one rule, ``_in_strip``
 (strict x1 bound, closed slab bound), on strips read off a decomposition's
 interval arrays by masks.  For a complete lacunary decomposition the strips
 attached to the poled rank intervals overlap at most
-``MAX_POLE_STRIP_OVERLAP`` (40) times at any point, and the endpoint strips
-of the top-rank intervals at most ``MAX_TOP_OVERLAP`` (12) times;
-``max_overlap`` computes the exact maxima by an activation sweep (see its
-docstring for the exactness argument).
+``MAX_POLE_STRIP_OVERLAP`` (40) times at any point.  The endpoint strips of
+the top-rank intervals stay within ``MAX_TOP_OVERLAP`` (12) on depth-1
+decompositions (two points on each side of every pole), but not beyond:
+``random_complete_decomposition`` at depth >= 2 reaches 16, because a point
+shared by two top-rank intervals counts once for each (seed 28, mu 4,
+depth 3).  Which count the constant bounds, and for which complete sets, is
+still open; neither the constant nor the count has been changed to fit.
+``max_overlap`` computes the exact maxima by an activation sweep (see
+``_sweep_max`` for the exactness argument).
 
 ``sector_multiplier`` applies the sharp frequency cutoff 1_S to a sampled
 function: an orthogonal projection on the discrete Fourier lattice, hence
@@ -169,6 +174,14 @@ def _in_strip(x1, x2, tau, center, half_width=STRIP_HALF_WIDTH):
     return (x1 > tau) & (np.abs(x2 - center * x1) <= half_width)
 
 
+# Strip counts from which ``_block_sweep`` is faster than ``_insort_sweep``
+# (they level at 300-400 strips on random complete decompositions), and the
+# most window entries ``_block_sweep`` expands at once, which keeps its scratch
+# arrays O(n) however crowded the windows are.
+_BLOCK_SWEEP_MIN = 400
+_WINDOW_CHUNK = 1 << 16
+
+
 def _sweep_max(tau: np.ndarray, centers: np.ndarray) -> tuple[int, tuple[float, float]]:
     """Exact maximum of sum_J 1_{S}(x) over the half plane, with an argmax.
 
@@ -179,28 +192,47 @@ def _sweep_max(tau: np.ndarray, centers: np.ndarray) -> tuple[int, tuple[float, 
     count at any fixed sigma is non-increasing there; maxima therefore occur
     immediately after activations, and only windows containing the newly
     activated center can set a record.  Sweeping activations in order and
-    scanning the window of width 10/x1 around each new center is exact up to
-    the measure-zero configurations where a maximum is achieved only in the
+    scanning the window of width w = 10/x1 around each new center is exact up
+    to the measure-zero configurations where a maximum is achieved only in the
     limit x1 -> tau+ (the strict x1 bound excludes the threshold itself);
     evaluation uses x1 = tau * (1 + 1e-12).
+
+    The scan at center c tries every window [s, s + w] whose left edge s is an
+    active center in [c - w, c] with s + w >= c, and keeps the first strictly
+    larger count: first activation, then first start.  Every such window lies
+    inside [c - w, c + w] with the bounds rounded as computed, because
+    rounding is monotone: s >= fl(c - w), and s <= c gives fl(s + w) <=
+    fl(c + w).  So the active centers in [c - w, c + w] bound every count the
+    scan can find, and an activation whose bound does not beat the running
+    best cannot set a record and is skipped.  Any larger bound skips no more
+    than the exact one does.
+
+    Two implementations give the same count and witness bits, chosen by the
+    number of strips: ``_insort_sweep`` for small sets and ``_block_sweep``
+    for large ones.
     """
     if len(tau) == 0:
         return 0, (1.0, 0.0)
     order = np.argsort(tau, kind="stable")
-    # plain floats and bisect: one numpy call per activation cost more than
-    # the search itself, and the comparisons are the same IEEE ones
-    tau, centers = tau[order].tolist(), centers[order].tolist()
-    best, arg = 0, (tau[0] * 2.0, centers[0] * 2.0 * tau[0])
+    sweep = _insort_sweep if len(tau) < _BLOCK_SWEEP_MIN else _block_sweep
+    return sweep(tau[order], centers[order])
+
+
+def _insort_sweep(tau, centers):
+    """``_sweep_max`` over strips sorted by tau, one activation at a time on a
+    sorted list of the active centers, bounding each window by its exact
+    active count.  Plain floats and bisect: one numpy call per activation
+    costs more than the search itself, and the comparisons are the same IEEE
+    ones."""
+    best, arg = 0, (1.0, 0.0)
     active: list[float] = []
-    for t, c in zip(tau, centers):
+    for t, c in zip(tau.tolist(), centers.tolist()):
         insort(active, c)
         x1 = t * (1.0 + 1e-12)
         width = 2.0 * STRIP_HALF_WIDTH / x1
         lo = bisect_left(active, c - width)
         if bisect_right(active, c + width) - lo <= best:
             continue
-        # best window of width ``width`` covering c, left edge at a member;
-        # the first widest window wins ties
         for start in active[lo : bisect_right(active, c)]:
             end = start + width
             if end < c:
@@ -209,6 +241,69 @@ def _sweep_max(tau: np.ndarray, centers: np.ndarray) -> tuple[int, tuple[float, 
             if cnt > best:
                 best = cnt
                 arg = (x1, (start + 0.5 * width) * x1)
+    return best, arg
+
+
+def _block_sweep(tau, centers):
+    """``_sweep_max`` over strips sorted by tau, on arrays, a block of
+    activations at a time.
+
+    Each window [c - w, c + w] is ranked once against the sorted centers.
+    Within a block, one prefix count over sorted positions gives every
+    window's count of the members activated by the block's end, a bound on
+    its active count.  Only windows whose bound beats the running best are
+    expanded, with their members laid end to end, and scanned together: the
+    first start of the first window with the largest count is the loop's
+    record.  Strips come sorted by tau, and x1 and w are computed with the
+    loop's IEEE operations.
+    """
+    n = len(tau)
+    x1 = tau * (1.0 + 1e-12)
+    width = 2.0 * STRIP_HALF_WIDTH / x1
+    rank = np.argsort(centers)  # sorted position -> activation; ties may fall either way
+    sc = centers[rank]
+    # window [c - w, c + w] = sorted positions [first, stop)
+    first = np.searchsorted(sc, centers - width, "left")
+    stop = np.searchsorted(sc, centers + width, "right")
+    at = np.empty(n, dtype=np.intp)  # activation -> sorted position
+    at[rank] = np.arange(n)
+    seen = np.zeros(n + 1, dtype=np.intp)  # seen[p + 1] = 1: position p activated
+    block = max(64, int(4.0 * math.sqrt(n)))  # each block costs O(n); longer ones bound looser
+    best, arg = 0, (1.0, 0.0)
+    for s in range(0, n, block):
+        seen[at[s : s + block] + 1] = 1
+        below = np.cumsum(seen)  # below[p]: activated positions < p
+        lo, hi = below[first[s : s + block]], below[stop[s : s + block]]
+        todo = np.flatnonzero(hi - lo > best)
+        if not len(todo):
+            continue
+        activated = np.flatnonzero(seen[1:])
+        while len(todo):
+            lens = (hi - lo)[todo]
+            take = max(1, int(np.searchsorted(np.cumsum(lens), _WINDOW_CHUNK, "right")))
+            k, todo, lens = todo[:take], todo[take:], lens[:take]
+            offs = np.cumsum(lens) - lens
+            # the members activated by the block's end, window after window:
+            # sorted position g, and the activation i whose window holds it
+            own = np.repeat(np.arange(take), lens)
+            g = activated[np.arange(offs[-1] + lens[-1]) + (lo[k] - offs)[own]]
+            i = s + k[own]
+            live = rank[g] <= i
+            nlive = np.zeros(len(g) + 1, dtype=np.intp)
+            np.cumsum(live, out=nlive[1:])
+            val, c = sc[g], centers[i]
+            end = val + width[i]
+            st = np.flatnonzero(live & (val <= c) & (end >= c))
+            # live members in [val, end], counted from the start's own entry:
+            # a later duplicate of a live value undercounts, but never beats
+            # the first, which comes first and counts exactly
+            last = (offs - lo[k])[own[st]] + below[np.searchsorted(sc, end[st], "right")]
+            cnt = nlive[last] - nlive[st]
+            j = int(np.argmax(cnt))
+            if cnt[j] > best:
+                x, w = float(x1[i[st[j]]]), float(width[i[st[j]]])
+                best, arg = int(cnt[j]), (x, (float(val[st[j]]) + 0.5 * w) * x)
+                todo = todo[(hi - lo)[todo] > best]
     return best, arg
 
 

@@ -4,14 +4,17 @@ the tests' random pole-gap chains.
 ``directional_avg`` samples one centered line average with its own bilinear
 reads, the reference for the shift-add engine's fields; ``overlap_count``
 and ``strip_contains`` count strip memberships at single frequency points,
-the brute-force oracles of ``sectors.max_overlap``.  ``random_pole_gap_chain``
-draws the interval chains fed to ``sectors.support_containment_check``.
+the brute-force oracles of ``sectors.max_overlap``, and ``sweep_max_bisect``
+is the one-activation-at-a-time sweep that ``sectors._sweep_max`` must match
+bit for bit.  ``random_pole_gap_chain`` draws the interval chains fed to
+``sectors.support_containment_check``.
 ``binary_decomposition_loop`` is the per-point bisection loop, the reference
 for ``lacunary.binary_decomposition``'s level-by-level arrays; the reference
 loops build ``StageGroup`` tuples, and ``stage_groups`` reads a
 decomposition's group arrays back as them.
 """
 
+from bisect import bisect_left, bisect_right, insort
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -25,7 +28,13 @@ from dirmax.lacunary import (
     _assemble,
     _GroupArrays,
 )
-from dirmax.sectors import Strip, _in_strip, _strip_arrays, validate_pole_gap_chain
+from dirmax.sectors import (
+    STRIP_HALF_WIDTH,
+    Strip,
+    _in_strip,
+    _strip_arrays,
+    validate_pole_gap_chain,
+)
 
 
 class StageGroup(NamedTuple):
@@ -110,6 +119,39 @@ def overlap_count(
     tau_l, cen_l, tau_t, cen_t = _strip_arrays(decomp, require_poles)
     n_low = int(np.sum(_in_strip(x1, x2, tau_l, cen_l)))
     return n_low, int(np.sum(_in_strip(x1, x2, tau_t, cen_t)))
+
+
+def sweep_max_bisect(tau: np.ndarray, centers: np.ndarray) -> tuple[int, tuple[float, float]]:
+    """Exact strip-overlap maximum with its witness, one activation at a time.
+
+    Activations in stable order of tau; each inserts its center into a sorted
+    list, skips when the active centers in [c - w, c + w] (w = 10/x1) do not
+    beat the running best, and otherwise tries every window [s, s + w] that
+    starts at an active center in [c - w, c] and reaches c, keeping the first
+    strictly larger count.  See ``sectors._sweep_max`` for why this is exact.
+    """
+    if len(tau) == 0:
+        return 0, (1.0, 0.0)
+    order = np.argsort(tau, kind="stable")
+    tau, centers = tau[order].tolist(), centers[order].tolist()
+    best, arg = 0, (tau[0] * 2.0, centers[0] * 2.0 * tau[0])
+    active: list[float] = []
+    for t, c in zip(tau, centers):
+        insort(active, c)
+        x1 = t * (1.0 + 1e-12)
+        width = 2.0 * STRIP_HALF_WIDTH / x1
+        lo = bisect_left(active, c - width)
+        if bisect_right(active, c + width) - lo <= best:
+            continue
+        for start in active[lo : bisect_right(active, c)]:
+            end = start + width
+            if end < c:
+                continue
+            cnt = bisect_right(active, end) - bisect_left(active, start)
+            if cnt > best:
+                best = cnt
+                arg = (x1, (start + 0.5 * width) * x1)
+    return best, arg
 
 
 def random_pole_gap_chain(

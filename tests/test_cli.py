@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import dirmax
-from dirmax.cli import run
+from dirmax.cli import _build_parser, run
 from dirmax.grid_ops import Grid2D, OperatorConfig, m1
 from dirmax.lacunary import (
     DirectionSet,
@@ -315,6 +315,64 @@ class TestExitCodes:
         assert not out.exists()
         assert not [p for p in tmp_path.iterdir() if p.name.startswith(".tmp-dirmax")]
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+class TestOneProcess:
+    # usage errors, validation and i/o failures, stdout and --out outputs, the
+    # --range rewrite and --help; DIR is the directory each side writes in
+    CORPUS = [
+        ["decompose", "--mode", "binary", "--input", "DIRS", "--out", "DIR/b.json"],
+        ["overlap", "--decomp", "DIR/b.json", "--skip-poleless"],
+        ["overlap", "--decomp", "DIR/b.json"],
+        ["--bogus"],
+        [],
+        ["frobnicate"],
+        ["decompose", "--mode", "binary", "--input", "DIRS", "--gap", "0.3"],
+        ["overlap", "--decomp", "DIR/missing.json", "--out", "DIR/o.json"],
+        ["decompose", "--mode", "chain", "--input", "DIR/b.json", "--out", "DIR/c.json"],
+        ["overlap", "--decomp", "RANDOM", "--out", "DIR/r.json"],
+        ["kernel-table", "--kind", "vp", "--r", "1", "--range", "-3,3", "--samples", "7"],
+        ["overlap", "--help"],
+    ]
+
+    def test_back_to_back_runs_match_separate_processes(
+        self, dirs_file, tmp_path, capsys, monkeypatch
+    ):
+        random = tmp_path / "random.json"
+        random_complete_decomposition(np.random.default_rng(4), 5).save(random)
+        monkeypatch.setenv("COLUMNS", "80")  # --help wraps to the terminal width
+        src = str(Path(dirmax.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+        def argv_in(d):
+            names = {"DIRS": str(dirs_file), "RANDOM": str(random)}
+            return [[names.get(a, a.replace("DIR", str(d))) for a in argv] for argv in self.CORPUS]
+
+        def results(d, outputs):
+            # (exit code, stdout, stderr) per command with paths made neutral,
+            # then every file the commands wrote
+            text = [tuple(v.replace(str(d), "DIR") if isinstance(v, str) else v for v in r)
+                    for r in outputs]
+            return text, {p.name: p.read_bytes() for p in sorted(d.iterdir())}
+
+        apart = tmp_path / "apart"
+        apart.mkdir()
+        separate = []
+        for argv in argv_in(apart):
+            proc = subprocess.run([sys.executable, "-m", "dirmax.cli", *argv], env=env,
+                                  capture_output=True, text=True)
+            separate.append((proc.returncode, proc.stdout, proc.stderr))
+
+        together = tmp_path / "together"
+        together.mkdir()
+        capsys.readouterr()
+        one = []
+        for argv in argv_in(together):
+            rc = run(argv)
+            one.append((rc, *capsys.readouterr()))
+        assert _build_parser() is _build_parser()
+        assert [r[0] for r in one] == [0, 0, 1, 1, 1, 1, 1, 2, 0, 0, 0, 0]
+        assert results(together, one) == results(apart, separate)
 
 
 class TestDecompose:

@@ -646,14 +646,21 @@ class TestBank:
                 assert calls[name](bank).values.tobytes() == want[name], (order, name)
 
     @given(case=bank_cases())
+    # a set closed under perpendicular whose column ladder is its own radii:
+    # m1 over perpendicular(omega) is m1 itself, one field under one key
+    @example(case=(Grid2D(np.arange(36.0).reshape(6, 6) % 5 - 2, 0.125),
+                   DirectionSet((0.0, 0.25, 0.5, 0.75)),
+                   OperatorConfig((0.15,), samples_per_unit=4, aspect_levels=0,
+                                  offset_steps=0, direct_nodes_cap=9)))
     @settings(max_examples=20, deadline=None)
     def test_m2_pass_banks_the_other_three(self, case):
         f, omega, cfg = case
         bank: dict = {}
         m2(f, omega, cfg, bank=bank)
         held = dict(bank)
-        assert len(held) == (4 if 1.0 in cfg.radii else 3)
         inner = replace(cfg, radii=_column_ladder_radii(cfg))
+        same = perpendicular(omega).values == omega.values and inner.radii == cfg.radii
+        assert len(held) == 3 - same + (1.0 in cfg.radii)
         got = [m1(f, omega, cfg, bank=bank), m1(f, perpendicular(omega), inner, bank=bank)]
         if 1.0 in cfg.radii:
             got.append(m0(f, omega, cfg, bank=bank))
