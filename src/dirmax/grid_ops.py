@@ -83,7 +83,7 @@ from typing import Callable, Container, Optional, Sequence
 import numpy as np
 
 from .errors import InvalidArgument, TruncationError
-from .kernels import bump_eval, bump_integral, vp_eval, BUMP_AMPLITUDE
+from .kernels import _positive_real, bump_eval, bump_integral, vp_eval, BUMP_AMPLITUDE
 from .lacunary import DirectionSet, perpendicular
 
 __all__ = [
@@ -219,10 +219,11 @@ class OperatorConfig:
     ``radii`` must be a dyadic ladder (each radius exactly twice the
     previous); ``samples_per_unit`` fixes the line-quadrature density;
     ``aspect_levels`` the number of dyadic width levels below each rectangle
-    length; ``offset_steps`` > 0 adds off-center rectangles at quarter-step
+    length; ``offset_steps`` 1 or 2 adds off-center rectangles at quarter-step
     offsets (0 keeps rectangles centered, which the discrete operator chain
-    requires); ``direct_nodes_cap`` bounds the node count of directly
-    computed line averages before the dyadic cascade takes over.
+    requires; beyond 2 a rectangle misses its point); ``direct_nodes_cap``
+    bounds the node count of directly computed line averages before the
+    dyadic cascade takes over.
     """
 
     radii: tuple[float, ...]
@@ -243,8 +244,11 @@ class OperatorConfig:
         object.__setattr__(self, "radii", radii)
         if self.samples_per_unit < 1:
             raise InvalidArgument("samples_per_unit must be >= 1")
-        if self.aspect_levels < 0 or self.offset_steps < 0:
-            raise InvalidArgument("aspect_levels and offset_steps must be >= 0")
+        if self.aspect_levels < 0:
+            raise InvalidArgument("aspect_levels must be >= 0")
+        steps = self.offset_steps  # offsets up to half a side keep x inside
+        if not (isinstance(steps, numbers.Integral) and 0 <= steps <= 2) or isinstance(steps, bool):
+            raise InvalidArgument(f"offset_steps must be 0, 1 or 2, got {steps!r}")
         cap = self.direct_nodes_cap
         if isinstance(cap, bool) or not isinstance(cap, numbers.Integral) or cap < 1:
             raise InvalidArgument(f"direct_nodes_cap must be a positive integer, got {cap!r}")
@@ -665,8 +669,9 @@ def gamma_op(
     estimate is raised; enlarge the grid, raise r, or shrink h to pass the
     guard.
     """
-    if not (r > 0 and h > 0):
-        raise InvalidArgument("r and h must be positive")
+    if not math.isfinite(alpha):
+        raise InvalidArgument(f"alpha must be finite, got {alpha}")
+    r, h = _positive_real(r, "r"), _positive_real(h, "h")
     lx = 0.5 * (f.width - 1) * f.spacing
     ly = 0.5 * (f.height - 1) * f.spacing
     lost = _gamma_tail_fraction(r, h, alpha, lx, ly, f.spacing)

@@ -28,7 +28,6 @@ import json
 import math
 from contextlib import suppress
 from dataclasses import dataclass, field
-from itertools import compress
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -99,7 +98,7 @@ class DirectionSet:
 
     @staticmethod
     def from_json(data) -> "DirectionSet":
-        return DirectionSet(tuple(_json_numbers(data, "a direction set").tolist()))
+        return DirectionSet(_json_numbers(data, "a direction set").tolist())
 
 
 def perpendicular(directions: DirectionSet) -> DirectionSet:
@@ -280,26 +279,29 @@ class LacunaryDecomposition:
     ``RankInterval`` objects exist only at the edges: ``rank_intervals`` and
     ``intervals_of_rank`` build them; ``from_json`` checks arrays instead.
 
-    ``poles`` lists every pole used in the construction (one or two per
-    inserted group), whether or not it ended up tagging a rank interval.
+    Chain sets are read-only, sorted, unique float64 arrays.  ``poles`` is a
+    read-only float64 array of every pole of the construction (one or two per
+    inserted group), tagging an interval or not: sorted and unique from a
+    builder, in file order on load.
     ``stage_groups`` holds the builder's stage groups as arrays
     (``_GroupArrays``: a stage and a pole per group, and the groups' points
     as one flat array with offsets; none after ``from_json``).  No operation
     reads them, since completion re-derives them from the chain.
     """
 
-    chain: tuple[tuple[float, ...], ...]
+    chain: tuple[np.ndarray, ...]
     gap: float
     lo: np.ndarray = field(repr=False)
     hi: np.ndarray = field(repr=False)
     rank: np.ndarray = field(repr=False)
     pole: np.ndarray = field(repr=False)
     domain: tuple[float, float]
-    poles: tuple[float, ...] = ()
+    poles: np.ndarray
     stage_groups: _GroupArrays = field(default_factory=lambda: _GroupArrays.of(()), repr=False)
 
     def __post_init__(self):
-        for a in (self.lo, self.hi, self.rank, self.pole, *self.stage_groups):
+        for a in (*self.chain, self.poles, self.lo, self.hi, self.rank, self.pole,
+                  *self.stage_groups):
             a.flags.writeable = False
 
     @property
@@ -307,7 +309,7 @@ class LacunaryDecomposition:
         return len(self.chain)
 
     @property
-    def final_set(self) -> tuple[float, ...]:
+    def final_set(self) -> np.ndarray:
         return self.chain[-1]
 
     def _rows(self):
@@ -325,12 +327,12 @@ class LacunaryDecomposition:
     def to_json(self) -> dict:
         return {
             "gap": self.gap,
-            "chain": [list(s) for s in self.chain],
+            "chain": [s.tolist() for s in self.chain],
             "rank_intervals": [
                 {"lo": a, "hi": b, "rank": k, "pole": p} for a, b, k, p in self._rows()
             ],
             "domain": list(self.domain),
-            "poles": list(self.poles),
+            "poles": self.poles.tolist(),
         }
 
     @staticmethod
@@ -348,12 +350,10 @@ class LacunaryDecomposition:
             raise InvalidArgument(f"decomposition JSON lacks the key {exc}") from None
         except (AttributeError, TypeError) as exc:
             raise InvalidArgument(f"malformed decomposition JSON: {exc}") from None
-        poles = tuple(poles.tolist())
         _check_gap(gap)
         sets, domain = _check_chain(chain, domain)
         _check_rank_arrays(sets, domain, lo, hi, rank, pole, poles)
-        chain = tuple(tuple(s.tolist()) for s in sets)
-        return LacunaryDecomposition(chain, gap, lo, hi, rank.astype(np.int64), pole, domain, poles)
+        return LacunaryDecomposition(sets, gap, lo, hi, rank.astype(np.int64), pole, domain, poles)
 
     def save(self, path) -> None:
         """Write ``json.dumps(self.to_json(), sort_keys=True, indent=1) + "\\n"``
@@ -517,7 +517,7 @@ def _span(points: np.ndarray) -> tuple[float, float]:
 
 def _check_chain(
     chain: Iterable[Iterable[float]], domain: Optional[Sequence[float]] = None
-) -> tuple[list[np.ndarray], tuple[float, float]]:
+) -> tuple[tuple[np.ndarray, ...], tuple[float, float]]:
     """The chain's sets as sorted, unique arrays, and the domain holding them.
 
     InvalidArgument unless every value is finite and inside the closed
@@ -525,7 +525,7 @@ def _check_chain(
     it; containment is checked before nesting.  The default domain is the
     final set's ``_span``.
     """
-    sets = [np.unique(np.fromiter(s, dtype=float)) for s in chain]
+    sets = tuple(np.unique(np.fromiter(s, dtype=float)) for s in chain)
     if not sets or not sets[0].size:
         raise InvalidArgument("chain must contain at least one nonempty set")
     domain = _check_domain(_span(sets[-1]) if domain is None else domain)  # NaN sorts last
@@ -565,7 +565,7 @@ def _check_rank_arrays(chain, domain, lo, hi, rank, pole, poles) -> None:
         raise ValidationFailure(f"pole {pole[i]} outside interval ({lo[i]}, {hi[i]})")
     if not np.isnan(pole[rank == len(chain)]).all():
         raise InvalidArgument("a top-rank interval carries a pole tag")
-    foreign = np.setdiff1d(pole[~np.isnan(pole)], np.asarray(poles, dtype=float))
+    foreign = np.setdiff1d(pole[~np.isnan(pole)], poles)
     if foreign.size:
         raise InvalidArgument(f"pole tag {foreign[0]} is not one of the poles")
 
@@ -575,7 +575,7 @@ def _order_by_distance(points: Sequence[float], pole: float) -> tuple[float, ...
 
 
 def _rank_arrays(
-    chain: Sequence[tuple[float, ...]],
+    chain: Sequence[np.ndarray],
     domain: tuple[float, float],
     stage: np.ndarray,
     cand: np.ndarray,
@@ -611,18 +611,18 @@ def _sorted_unique(values: np.ndarray) -> np.ndarray:
 
 
 def _assemble(
-    chain: Sequence[tuple[float, ...]],
+    chain: Sequence[np.ndarray],
     gap: float,
     domain: tuple[float, float],
     groups: _GroupArrays,
 ) -> LacunaryDecomposition:
     """Decomposition of a nested chain whose stage groups are already lacunary.
 
-    Every builder holds its chain as sorted, unique tuples of finite floats
+    Every builder holds its chain as sorted, unique, finite float64 arrays
     inside the domain and checks its input for that; nothing is re-checked here.
     """
     arrays = _rank_arrays(chain, domain, groups.stage, groups.pole)
-    poles = tuple(_sorted_unique(groups.pole).tolist())
+    poles = _sorted_unique(groups.pole)
     return LacunaryDecomposition(tuple(chain), gap, *arrays, domain, poles, groups)
 
 
@@ -668,7 +668,7 @@ def _infer_group(
 
 def _stage_groups(
     chain: Sequence[Iterable[float]], gap: float, domain: Optional[Sequence[float]]
-) -> tuple[list[np.ndarray], tuple[float, float], list[tuple[int, float, tuple[float, ...]]]]:
+) -> tuple[tuple[np.ndarray, ...], tuple[float, float], list[tuple[int, float, tuple[float, ...]]]]:
     """The checked chain (``_check_chain``), its domain, and its stage groups
     as (stage, pole, points) triples.
 
@@ -710,7 +710,7 @@ def build_decomposition(
     stage groups (``_stage_groups``) that appeared inside them.
     """
     sets, domain, groups = _stage_groups(chain, gap, domain)
-    return _assemble([tuple(s.tolist()) for s in sets], gap, domain, _GroupArrays.of(groups))
+    return _assemble(sets, gap, domain, _GroupArrays.of(groups))
 
 
 # ---------------------------------------------------------------------------
@@ -735,7 +735,7 @@ def binary_decomposition(points: Iterable[float]) -> LacunaryDecomposition:
     return _assemble(chain, 0.5, domain, groups)
 
 
-def _bisection(pts: np.ndarray) -> tuple[list[tuple[float, ...]], _GroupArrays]:
+def _bisection(pts: np.ndarray) -> tuple[list[np.ndarray], _GroupArrays]:
     """The chain and stage groups of the bisection of sorted, unique points."""
     n = len(pts)
     joined = np.ones(n, dtype=np.int64)  # the stage each point joins at
@@ -761,9 +761,7 @@ def _bisection(pts: np.ndarray) -> tuple[list[tuple[float, ...]], _GroupArrays]:
         points,
         np.arange(len(points) + 1),
     )
-    values = pts.tolist()  # one float object per point, shared by the chain's sets
-    chain = [tuple(compress(values, (joined <= k).tolist())) for k in range(1, stage + 1)]
-    return chain, groups
+    return [pts[joined <= k] for k in range(1, stage + 1)], groups
 
 
 # ---------------------------------------------------------------------------
@@ -882,7 +880,7 @@ def complete_decomposition(decomp: LacunaryDecomposition) -> LacunaryDecompositi
         for i in range(n_sub):
             batches[(stage - 1) * n_sub + i].extend(points[i::n_sub])
 
-    new_chain: list[tuple[float, ...]] = []
+    new_chain: list[np.ndarray] = []
     new_groups: list[tuple[int, float, tuple[float, ...]]] = []
     current = np.empty(0)
     for batch in batches:
@@ -906,9 +904,9 @@ def complete_decomposition(decomp: LacunaryDecomposition) -> LacunaryDecompositi
                 added.append(done)
         current = np.unique(np.concatenate([current, *added]))
         if split or not new_chain:
-            new_chain.append(tuple(current.tolist()))
-    new_chain[-1] = tuple(current.tolist())  # with the anchors of skipped batches
-    if not set(decomp.final_set) <= set(new_chain[-1]):
+            new_chain.append(current)
+    new_chain[-1] = current  # with the anchors of skipped batches
+    if not np.isin(decomp.final_set, current).all():
         raise ValidationFailure("completion lost input points")
     return _assemble(new_chain, eff, domain, _GroupArrays.of(new_groups))
 
@@ -950,7 +948,7 @@ def staged_complete_decomposition(
     domain = _check_domain(domain)
     sign = np.array([1.0, -1.0])
     current = np.empty(0)
-    chain: list[tuple[float, ...]] = []
+    chain: list[np.ndarray] = []
     stages, poles, points = [], [], []
     for stage in range(1, mu + 1):
         lo, hi = _gaps(current, domain)
@@ -966,7 +964,7 @@ def staged_complete_decomposition(
         current = np.unique(np.concatenate((current, pts.ravel())))
         if not current.size:
             raise InvalidArgument(f"stage {stage} leaves the set empty")
-        chain.append(tuple(current.tolist()))
+        chain.append(current)
         # one group of ``depth`` points per side: upper, then lower, per interval
         stages.append(np.full(2 * len(pole), stage, dtype=np.int64))
         poles.append(np.repeat(pole, 2))

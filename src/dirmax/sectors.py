@@ -47,6 +47,7 @@ import numpy as np
 
 from .errors import InvalidArgument, PreconditionViolation
 from .grid_ops import Grid2D, OperatorConfig, gamma_op, m1, strong_maximal
+from .kernels import _positive_real
 from .lacunary import DirectionSet, LacunaryDecomposition, RankInterval
 
 __all__ = [
@@ -65,21 +66,22 @@ __all__ = [
     "MAX_POLE_STRIP_OVERLAP",
     "MAX_TOP_OVERLAP",
     "STRIP_HALF_WIDTH",
+    "BUMP_HALF_WIDTH",
 ]
 
 STRIP_HALF_WIDTH = 5.0
+BUMP_HALF_WIDTH = 1.0  # phi_h's transform lives in [-1/h, 1/h]: the band half-width at h = 1
 MAX_POLE_STRIP_OVERLAP = 40
 MAX_TOP_OVERLAP = 12
 
 
 @dataclass(frozen=True)
 class Strip:
-    """Restricted strip S_c(J): x1 > 1/(hi-lo), |x2 - c x1| <= half_width."""
+    """Restricted strip S_c(J): x1 > 1/(hi-lo), |x2 - c x1| <= STRIP_HALF_WIDTH."""
 
     slope_lo: float
     slope_hi: float
     center: float
-    half_width: float = STRIP_HALF_WIDTH
 
     def __post_init__(self):
         if not (self.slope_lo < self.center < self.slope_hi):
@@ -106,23 +108,19 @@ class Sector:
 
 @dataclass(frozen=True)
 class FrequencyBand:
-    """Spectral band xi1 in [xi1_lo, xi1_hi], |xi2 - theta xi1| < bump_halfwidth."""
+    """Spectral band xi1 in [xi1_lo, xi1_hi], |xi2 - theta xi1| < BUMP_HALF_WIDTH."""
 
     xi1_lo: float
     xi1_hi: float
     theta: float
-    bump_halfwidth: float = 1.0
 
     def __post_init__(self):
         if not (0.0 <= self.xi1_lo < self.xi1_hi):
             raise InvalidArgument("band needs 0 <= xi1_lo < xi1_hi")
 
     def corners(self) -> list[tuple[float, float]]:
-        out = []
-        for x1 in (self.xi1_lo, self.xi1_hi):
-            for sgn in (-1.0, 1.0):
-                out.append((x1, self.theta * x1 + sgn * self.bump_halfwidth))
-        return out
+        xs = (self.xi1_lo, self.xi1_hi)
+        return [(x1, self.theta * x1 + sgn * BUMP_HALF_WIDTH) for x1 in xs for sgn in (-1.0, 1.0)]
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +159,7 @@ def _strip_arrays(decomp: LacunaryDecomposition, require_poles: bool):
             "dirmax overlap)"
         )
     low &= ~poleless
-    poles = np.sort(np.asarray(decomp.poles, dtype=float))
+    poles = np.sort(decomp.poles)
     # truncation stand-ins (see above): a pole strictly inside the interval
     top = (rank == mu) & (
         np.searchsorted(poles, hi, side="left") <= np.searchsorted(poles, lo, side="right")
@@ -169,9 +167,9 @@ def _strip_arrays(decomp: LacunaryDecomposition, require_poles: bool):
     return tau[low], pole[low], tau[top].repeat(2), np.stack((lo[top], hi[top]), 1).ravel()
 
 
-def _in_strip(x1, x2, tau, center, half_width=STRIP_HALF_WIDTH):
-    """Strip membership, broadcasting: x1 > tau strict, |x2 - center x1| <= half_width."""
-    return (x1 > tau) & (np.abs(x2 - center * x1) <= half_width)
+def _in_strip(x1, x2, tau, center):
+    """Strip membership, broadcasting: x1 > tau strict, |x2 - center x1| <= STRIP_HALF_WIDTH."""
+    return (x1 > tau) & (np.abs(x2 - center * x1) <= STRIP_HALF_WIDTH)
 
 
 # Strip counts from which ``_block_sweep`` is faster than ``_insort_sweep``
@@ -332,7 +330,7 @@ def max_overlap_with_argmax(
 
 def _region_mask(region: Union[Strip, Sector], xi1: np.ndarray, xi2: np.ndarray):
     if isinstance(region, Strip):
-        return _in_strip(xi1, xi2, region.min_x1, region.center, region.half_width)
+        return _in_strip(xi1, xi2, region.min_x1, region.center)
     if isinstance(region, Sector):
         with np.errstate(divide="ignore", invalid="ignore"):
             slope = np.where(xi1 != 0.0, xi2 / np.where(xi1 != 0, xi1, 1.0), np.inf)
@@ -429,7 +427,7 @@ class BandCheck:
     k: int
     band: FrequencyBand
     strip: Strip
-    corner_margin: float  # min over corners of half_width - |xi2 - c xi1|
+    corner_margin: float  # min over corners of STRIP_HALF_WIDTH - |xi2 - c xi1|
     contained: bool
 
 
@@ -474,8 +472,7 @@ def support_containment_check(
     The x1 edge xi1 = r_k coincides with the strip activation threshold; the
     check accepts the closure there and reports margins for the slab bound.
     """
-    if not (R > 0 and math.isfinite(R)):
-        raise InvalidArgument(f"R must be a positive real, got {R}")
+    R = _positive_real(R, "R")
     strips = _chain_strips(chain, theta)
     n = len(chain)
     r = [1.0 / j.width for j in chain]
@@ -488,7 +485,7 @@ def support_containment_check(
         band = FrequencyBand(r[k - 1], 2.0 * (r[k] if k < n else R), theta)
         strip = strips[k - 1]
         margin = min(
-            strip.half_width - abs(x2 - strip.center * x1)
+            STRIP_HALF_WIDTH - abs(x2 - strip.center * x1)
             for x1, x2 in band.corners()
         )
         x1_ok = band.xi1_lo >= strip.min_x1 - 1e-12 * max(1.0, strip.min_x1)

@@ -99,7 +99,7 @@ def directional_avg(
 
 def strip_contains(strip: Strip, p: tuple[float, float]) -> bool:
     """Membership in the strip; the x1 bound is strict, the slab bound closed."""
-    return bool(_in_strip(p[0], p[1], strip.min_x1, strip.center, strip.half_width))
+    return bool(_in_strip(p[0], p[1], strip.min_x1, strip.center))
 
 
 def overlap_count(
@@ -207,7 +207,7 @@ def binary_decomposition_loop(points) -> LacunaryDecomposition:
     if len(pts) == 1:
         dom = (pts[0] - 0.5, pts[0] + 0.5)
         g = StageGroup(1, pts[0], (pts[0],))
-        return _assemble([tuple(pts)], 0.5, dom, _GroupArrays.of([g]))
+        return _assemble([np.array(pts)], 0.5, dom, _GroupArrays.of([g]))
     domain = (pts[0], pts[-1])
     joined = np.ones(len(pts), dtype=np.int64)  # the stage each point joins at
     groups = [StageGroup(1, pts[-1], (pts[0],))]
@@ -228,5 +228,5 @@ def binary_decomposition_loop(points) -> LacunaryDecomposition:
                 nxt.append((mid + 1, j))
         pending = nxt
     arr = np.array(pts)
-    chain = [tuple(arr[joined <= k].tolist()) for k in range(1, stage + 1)]
+    chain = [arr[joined <= k] for k in range(1, stage + 1)]
     return _assemble(chain, 0.5, domain, _GroupArrays.of(groups))

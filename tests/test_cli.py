@@ -203,6 +203,12 @@ class TestExitCodes:
             (["kernel-table", "--kind", "zeta", "--h", "1", "--range", "0,1",
               "--samples", "2"], "--h does not apply to --kind zeta"),
             (["apply", "--op", "m1", "--grid", "GRID"], "m1 needs --directions"),
+            (["apply", "--op", "m2", "--grid", "GRID", "--directions", "DIRS", "--offsets", "3"],
+             "offset_steps must be 0, 1 or 2, got 3"),
+            (["apply", "--op", "gamma", "--grid", "GRID", "--alpha", "nan", "--r", "1024"],
+             "alpha must be finite, got nan"),
+            (["apply", "--op", "gamma", "--grid", "GRID", "--alpha", "0.2", "--r", "inf"],
+             "r must be a positive real, got inf"),
             (["check-support", "--chain", "CHAIN", "--theta", "0.4", "--R", "0"],
              "R must be a positive real, got 0.0"),
             (["check-support", "--chain", "CHAIN", "--theta", "0.4", "--R", "-5"],
@@ -246,6 +252,7 @@ class TestExitCodes:
         ids=["binary-gap-above-one", "binary-gap-negative", "chain-gap-above-one",
              "binary-domain", "decomposition-gap", "decomposition-not-nested",
              "kernel-r-zero", "kernel-bump-r", "kernel-zeta-h", "apply-no-directions",
+             "apply-offsets-three", "apply-gamma-alpha-nan", "apply-gamma-r-inf",
              "support-R-zero", "support-R-negative", "support-R-nan", "support-R-inf",
              "sweep-n-zero", "sweep-mu-size-zero", "sweep-mu-size-negative",
              "sweep-mu-size-one", "sweep-mu-size-two", "sweep-n-size-zero",

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import re
 import struct
 import tracemalloc
 from dataclasses import replace
@@ -360,6 +361,13 @@ class TestOperatorConfig:
     @pytest.mark.parametrize("cap", [1, 9, np.int64(129)])
     def test_direct_nodes_cap_accepts_positive_integers(self, cap):
         assert OperatorConfig((1.0,), direct_nodes_cap=cap).direct_nodes_cap == cap
+
+    @pytest.mark.parametrize("steps", [-1, 3, 8, 1.5, True])
+    def test_offset_steps_keep_the_point_in_the_rectangle(self, steps):
+        # offsets reach k * half / 2 for |k| <= steps: beyond 2 the point falls outside
+        with pytest.raises(InvalidArgument, match=f"offset_steps must be 0, 1 or 2.*got {steps}"):
+            OperatorConfig((1.0,), offset_steps=steps)
+        assert [OperatorConfig((1.0,), offset_steps=k).offset_steps for k in (0, 1, 2)] == [0, 1, 2]
 
 
 class TestM0Reference:
@@ -933,6 +941,22 @@ class TestGamma:
         with pytest.raises(TruncationError) as ei:
             gamma_op(g, 0.3, r=4.0, h=1.0)
         assert ei.value.lost_fraction > 1e-3
+
+    @pytest.mark.parametrize(
+        "alpha, r, h, message",
+        [(math.nan, 1024.0, 0.125, "alpha must be finite, got nan"),
+         (math.inf, 1024.0, 0.125, "alpha must be finite, got inf"),
+         (0.2, math.inf, 0.125, "r must be a positive real, got inf"),
+         (0.2, math.nan, 0.125, "r must be a positive real, got nan"),
+         (0.2, 0.0, 0.125, "r must be a positive real, got 0.0"),
+         (0.2, 1024.0, math.inf, "h must be a positive real, got inf"),
+         (0.2, 1024.0, -1.0, "h must be a positive real, got -1.0")],
+    )
+    def test_non_finite_or_non_positive_scales_rejected_first(self, alpha, r, h, message):
+        # checked before the truncation estimate, which would report a false loss
+        g = Grid2D(np.ones((128, 128)), 1 / 8)
+        with pytest.raises(InvalidArgument, match=f"^{re.escape(message)}$"):
+            gamma_op(g, alpha, r, h)
 
     def test_separable_oracle_at_zero_slope(self):
         rng = np.random.default_rng(1)

@@ -84,7 +84,7 @@ def _staged_stage_loop(mu, depth=4, domain=(0.0, 1.0)):
                 groups.append(StageGroup(stage, pole, tuple(pts)))
                 new_pts.extend(pts)
         current = sorted(set(current) | set(new_pts))
-        chain.append(tuple(current))
+        chain.append(np.array(current))
     return _assemble(chain, 0.5, domain, _GroupArrays.of(groups))
 
 

@@ -1,5 +1,6 @@
 """Lacunary sequences, decompositions, completions."""
 
+import hashlib
 import io
 import json
 import math
@@ -216,9 +217,9 @@ class TestBuildDecomposition:
         p = tmp_path / "d.json"
         d.save(p)
         d2 = d.load(p)
-        assert d2.chain == d.chain
+        assert [s.tobytes() for s in d2.chain] == [s.tobytes() for s in d.chain]
         assert d2.rank_intervals == d.rank_intervals
-        assert d2.poles == d.poles
+        assert d2.poles.tobytes() == d.poles.tobytes()
 
 
 class TestBinaryDecomposition:
@@ -230,7 +231,7 @@ class TestBinaryDecomposition:
     def test_two_points(self):
         d = binary_decomposition([0.3, 0.9])
         assert d.order == 1
-        assert d.final_set == (0.3, 0.9)
+        assert d.final_set.tobytes() == np.array([0.3, 0.9]).tobytes()
 
     def test_single_point_trivial(self):
         assert binary_decomposition([0.5]).order == 1
@@ -543,6 +544,108 @@ class TestWriter:
         assert d.stage_groups.stage.dtype == d.stage_groups.offsets.dtype == np.int64
 
 
+def _golden_corpus():
+    """Name -> zero-argument builder of a decomposition whose saved bytes are pinned."""
+    out = {
+        f"binary-{n}": lambda n=n: binary_decomposition(np.random.default_rng(n).uniform(0, 1, n))
+        for n in (1, 2, 3, 70, 4096)
+    }
+    out["binary-signed-zero"] = lambda: binary_decomposition([0.0, -0.0, 1.0])
+    for mu in range(1, 9):
+        out[f"random-mu{mu}"] = lambda mu=mu: random_complete_decomposition(
+            np.random.default_rng(mu), mu
+        )
+
+    def fill():
+        return random_complete_decomposition(np.random.default_rng(5), 4, 2, fill_probability=0.35)
+
+    out["random-seed5-fill"] = fill
+    out["random-seed5-fill-completed"] = lambda: complete_decomposition(fill())
+    out["random-seed38-completed"] = lambda: complete_decomposition(
+        random_complete_decomposition(np.random.default_rng(38), 4, 2)
+    )
+    out["staged-3-3"] = lambda: staged_lacunary_directions(3, 3)
+    return out
+
+
+# sha256 of each golden decomposition's saved bytes, recorded when chain sets
+# and poles were still tuples of Python floats; the array format writes the same.
+GOLDEN_SHA256 = {
+    "binary-1": "315a2e306c44d5d5ce51a3bd36de113789dc0d40935fd081c4c3bc1ffb16b9ef",
+    "binary-2": "243bd5e1e9ab6eda49d24d6903b01da7819315ce3d4414a60b6d2458f4d33a8b",
+    "binary-3": "e1e4e3bf0bd96309f622688b436ec26fd0a5a2e56a9af66411034112915d1132",
+    "binary-70": "b4694182bfdfb5fa0bea399721724728bc3899c3608e8a15b553991f0ce7c7ac",
+    "binary-4096": "123e0d09b0e3ba79054c0bd87e5f8995e7b4cbea9c15d2ba57f6efde65422143",
+    "binary-signed-zero": "6b44b7c658de736927f10039498cae59c24f625b22f716a1157b3389c1b536c6",
+    "random-mu1": "c8463b5522afff303847202fef396cc3793ddc4007c25561dfda89c0ae7de75f",
+    "random-mu2": "ac4c513d6e689ad5356cf2d0b4be6dbe9244f914aff0e93390c9a6f91493dcd0",
+    "random-mu3": "199d490086ecf623f36ff2ee896a91c3cfc5dab1e4985ca03cbd42b94a1eb137",
+    "random-mu4": "4dfac43e1fa3ff10113d1ca78473c190eeb58d5e954da4fd55c13bac56477945",
+    "random-mu5": "f0743f38fd4a73eb82ec34de99b839cf4a6e53ff0a4f3b02b3744a159254768d",
+    "random-mu6": "aefd35acc8b900ae77631acf0c62e2a213efa79b767a50f1f2863afab98fb677",
+    "random-mu7": "fb83351791bbc9133a031d9717e199df6e67dd419527ccbe8c9eb63f61cfd31f",
+    "random-mu8": "cba8e4538ed32b62dee87fe1cca3331502686a95ce481722666d4ce75ef3daf0",
+    "random-seed5-fill": "5c43523acb5a6df9490685ad29de4fe89f99b36ee572934780fd8da84406f9f9",
+    "random-seed5-fill-completed": "abb824af4150832e28db98c24a3b2f92c4b3d4da4e623947cce2add0732f2303",
+    "random-seed38-completed": "3a3a14ee7f12b39c1320a9d00bcff8a70919a1ec2ba2d385f0f974dee8c9e260",
+    "staged-3-3": "02443cdb810f1069274a9378f1ecbfcb5757d886a68c9e67404cb8de6b2d671e",
+}
+
+GOLDEN_CORPUS = _golden_corpus()
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("name", GOLDEN_CORPUS)
+    def test_save_and_reload_keep_the_recorded_bytes(self, name, tmp_path):
+        path = tmp_path / "d.json"
+        GOLDEN_CORPUS[name]().save(path)
+        again = io.StringIO()
+        LacunaryDecomposition.load(path).save(again)
+        for text in (path.read_bytes(), again.getvalue().encode()):
+            assert hashlib.sha256(text).hexdigest() == GOLDEN_SHA256[name]
+
+
+def assert_array_format(d):
+    """Chain sets and poles are read-only float64 arrays; each set is sorted and unique."""
+    assert type(d.chain) is tuple and d.final_set is d.chain[-1]
+    for a in (*d.chain, d.poles):
+        assert type(a) is np.ndarray and a.dtype == np.float64 and not a.flags.writeable
+    for s in d.chain:
+        assert (s[1:] > s[:-1]).all()
+
+
+class TestArrayFormat:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: binary_decomposition(np.random.default_rng(7).uniform(0, 1, 70)),
+            lambda: binary_decomposition([0.5]),
+            lambda: build_decomposition([[0, 1], [0, 0.5, 1], [0, 0.25, 0.5, 0.75, 1]], 0.5),
+            lambda: staged_lacunary_directions(3, 2),
+            lambda: random_complete_decomposition(np.random.default_rng(5), 4, 2, (0.0, 1.0), 0.35),
+            lambda: complete_decomposition(build_decomposition([[0.0, 1.0], [0.0, 0.7, 1.0]], 0.8)),
+        ],
+        ids=["binary", "binary-one-point", "chain", "staged", "random", "completion"],
+    )
+    def test_every_builder_and_load_hold_arrays(self, build, tmp_path):
+        d = build()
+        assert_array_format(d)
+        assert (d.poles[1:] > d.poles[:-1]).all()  # a builder's poles are sorted and unique
+        d.save(tmp_path / "d.json")
+        loaded = LacunaryDecomposition.load(tmp_path / "d.json")
+        assert_array_format(loaded)
+        assert [s.tobytes() for s in loaded.chain] == [s.tobytes() for s in d.chain]
+        assert loaded.poles.tobytes() == d.poles.tobytes()
+
+    def test_loaded_poles_keep_file_order(self):
+        data = random_complete_decomposition(np.random.default_rng(0), 2).to_json()
+        data["poles"].reverse()
+        d = LacunaryDecomposition.from_json(data)
+        assert_array_format(d)
+        assert d.poles.tolist() == data["poles"]
+        assert json.dumps(d.to_json()) == json.dumps(data)
+
+
 def _random_stage_loop(rng, mu, depth=1, domain=(0.0, 1.0), fill_probability=1.0):
     """Reference: the random complete construction as its own stage loop.
 
@@ -568,7 +671,7 @@ def _random_stage_loop(rng, mu, depth=1, domain=(0.0, 1.0), fill_probability=1.0
                 groups.append(StageGroup(stage, pole, tuple(pts)))
                 new_pts.extend(pts)
         current = sorted(set(current) | set(new_pts))
-        chain.append(tuple(current))
+        chain.append(np.array(current))
     return _assemble(chain, 0.5, domain, _GroupArrays.of(groups))
 
 
@@ -829,14 +932,16 @@ class TestRankArrays:
         # JSON integers are numbers; the same numbers as text are not
         data["domain"] = [0, 1]
         d = LacunaryDecomposition.from_json(data)
-        assert d.poles == poles and d.domain == (0.0, 1.0)
-        assert all(type(v) is float for v in d.poles + d.domain + (d.gap,))
+        assert d.poles.dtype == np.float64 and d.poles.tobytes() == np.array(poles).tobytes()
+        assert d.domain == (0.0, 1.0)
+        assert all(type(v) is float for v in d.domain + (d.gap,))
         with pytest.raises(InvalidArgument, match="poles must hold only finite JSON numbers"):
             LacunaryDecomposition.from_json({**data, "poles": [repr(p) for p in poles]})
         # without the key, the poles are the distinct interval tags
         del data["poles"]
         tags = {j.pole for j in d.rank_intervals if j.pole is not None}
-        assert LacunaryDecomposition.from_json(data).poles == tuple(sorted(tags))
+        want = np.array(sorted(tags)).tobytes()
+        assert LacunaryDecomposition.from_json(data).poles.tobytes() == want
 
 
 def _split_by_gaps_loop(points, current, domain):

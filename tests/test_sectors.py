@@ -13,6 +13,7 @@ from dirmax.lacunary import (
     random_complete_decomposition,
 )
 from dirmax.sectors import (
+    BUMP_HALF_WIDTH,
     MAX_POLE_STRIP_OVERLAP,
     MAX_TOP_OVERLAP,
     STRIP_HALF_WIDTH,
@@ -76,7 +77,7 @@ class TestStrip:
             Strip(0.0, 1.0, 1.5)
 
     def test_point_and_mask_share_the_edges(self):
-        # x1 = min_x1 is outside (strict), |x2 - c x1| = half_width inside (closed)
+        # x1 = min_x1 is outside (strict), |x2 - c x1| = STRIP_HALF_WIDTH inside (closed)
         s = Strip(0.0, 0.5, 0.25)
         pts = [(2.0, 0.5), (4.0, 6.0), (4.0, -4.0), (4.0, 6.5), (2.0 * (1 + 1e-15), 0.5)]
         x1 = np.array([p[0] for p in pts])
@@ -507,10 +508,10 @@ class TestPoleGapChains:
         rep = support_containment_check(chain, theta, R=10.0 ** rng.uniform(1, 6))
         for c in rep.checks:
             assert c.contained == (c.corner_margin >= 0)
-            half = c.band.bump_halfwidth
+            half = BUMP_HALF_WIDTH
             x1 = np.linspace(c.band.xi1_lo, c.band.xi1_hi, 64)
             x2 = theta * x1 + np.linspace(-half, half, 64)[:, None]
-            lattice = float(np.min(c.strip.half_width - np.abs(x2 - c.strip.center * x1)))
+            lattice = float(np.min(STRIP_HALF_WIDTH - np.abs(x2 - c.strip.center * x1)))
             assert lattice >= c.corner_margin - 1e-9 * max(1.0, abs(c.corner_margin))
 
     def test_theta_outside_rejected(self):
