@@ -212,6 +212,14 @@ class Grid2D:
         return Grid2D(data, spacing)
 
 
+def _check_integer(name: str, value, lo: int, hi: float = math.inf) -> None:
+    """InvalidArgument naming ``name`` unless ``value`` is an integer, not a
+    bool, in [lo, hi]."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not lo <= value <= hi:
+        rule = f"an integer >= {lo}" if hi == math.inf else f"{', '.join(map(str, range(lo, hi)))} or {hi}"
+        raise InvalidArgument(f"{name} must be {rule}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class OperatorConfig:
     """Discretization of the sup over scales and the rectangle family.
@@ -242,16 +250,11 @@ class OperatorConfig:
                     f"radii must form a dyadic ladder, {b} != 2 * {a}"
                 )
         object.__setattr__(self, "radii", radii)
-        if self.samples_per_unit < 1:
-            raise InvalidArgument("samples_per_unit must be >= 1")
-        if self.aspect_levels < 0:
-            raise InvalidArgument("aspect_levels must be >= 0")
-        steps = self.offset_steps  # offsets up to half a side keep x inside
-        if not (isinstance(steps, numbers.Integral) and 0 <= steps <= 2) or isinstance(steps, bool):
-            raise InvalidArgument(f"offset_steps must be 0, 1 or 2, got {steps!r}")
-        cap = self.direct_nodes_cap
-        if isinstance(cap, bool) or not isinstance(cap, numbers.Integral) or cap < 1:
-            raise InvalidArgument(f"direct_nodes_cap must be a positive integer, got {cap!r}")
+        _check_integer("samples_per_unit", self.samples_per_unit, 1)
+        _check_integer("aspect_levels", self.aspect_levels, 0)
+        # offsets up to half a side keep x inside
+        _check_integer("offset_steps", self.offset_steps, 0, 2)
+        _check_integer("direct_nodes_cap", self.direct_nodes_cap, 1)
 
     @staticmethod
     def dyadic(base: float, levels: int, **kw) -> "OperatorConfig":

@@ -39,7 +39,6 @@ The sign convention is fixed globally here and in the containment report.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -172,11 +171,8 @@ def _in_strip(x1, x2, tau, center):
     return (x1 > tau) & (np.abs(x2 - center * x1) <= STRIP_HALF_WIDTH)
 
 
-# Strip counts from which ``_block_sweep`` is faster than ``_insort_sweep``
-# (they level at 300-400 strips on random complete decompositions), and the
-# most window entries ``_block_sweep`` expands at once, which keeps its scratch
-# arrays O(n) however crowded the windows are.
-_BLOCK_SWEEP_MIN = 400
+# The most window entries ``_sweep_max`` expands at once, which keeps its
+# scratch arrays O(n) however crowded the windows are.
 _WINDOW_CHUNK = 1 << 16
 
 
@@ -205,56 +201,17 @@ def _sweep_max(tau: np.ndarray, centers: np.ndarray) -> tuple[int, tuple[float, 
     best cannot set a record and is skipped.  Any larger bound skips no more
     than the exact one does.
 
-    Two implementations give the same count and witness bits, chosen by the
-    number of strips: ``_insort_sweep`` for small sets and ``_block_sweep``
-    for large ones.
+    Activations run in stable order of tau, a block at a time.  Each window
+    [c - w, c + w] is ranked once against the sorted centers.  Within a
+    block, one prefix count over sorted positions gives every window's count
+    of the members activated by the block's end, a bound on its active count.
+    Only windows whose bound beats the running best are expanded, with their
+    members laid end to end, and scanned together: the first start of the
+    first window with the largest count is the record that activating one
+    strip at a time would set.
     """
-    if len(tau) == 0:
-        return 0, (1.0, 0.0)
     order = np.argsort(tau, kind="stable")
-    sweep = _insort_sweep if len(tau) < _BLOCK_SWEEP_MIN else _block_sweep
-    return sweep(tau[order], centers[order])
-
-
-def _insort_sweep(tau, centers):
-    """``_sweep_max`` over strips sorted by tau, one activation at a time on a
-    sorted list of the active centers, bounding each window by its exact
-    active count.  Plain floats and bisect: one numpy call per activation
-    costs more than the search itself, and the comparisons are the same IEEE
-    ones."""
-    best, arg = 0, (1.0, 0.0)
-    active: list[float] = []
-    for t, c in zip(tau.tolist(), centers.tolist()):
-        insort(active, c)
-        x1 = t * (1.0 + 1e-12)
-        width = 2.0 * STRIP_HALF_WIDTH / x1
-        lo = bisect_left(active, c - width)
-        if bisect_right(active, c + width) - lo <= best:
-            continue
-        for start in active[lo : bisect_right(active, c)]:
-            end = start + width
-            if end < c:
-                continue
-            cnt = bisect_right(active, end) - bisect_left(active, start)
-            if cnt > best:
-                best = cnt
-                arg = (x1, (start + 0.5 * width) * x1)
-    return best, arg
-
-
-def _block_sweep(tau, centers):
-    """``_sweep_max`` over strips sorted by tau, on arrays, a block of
-    activations at a time.
-
-    Each window [c - w, c + w] is ranked once against the sorted centers.
-    Within a block, one prefix count over sorted positions gives every
-    window's count of the members activated by the block's end, a bound on
-    its active count.  Only windows whose bound beats the running best are
-    expanded, with their members laid end to end, and scanned together: the
-    first start of the first window with the largest count is the loop's
-    record.  Strips come sorted by tau, and x1 and w are computed with the
-    loop's IEEE operations.
-    """
+    tau, centers = tau[order], centers[order]
     n = len(tau)
     x1 = tau * (1.0 + 1e-12)
     width = 2.0 * STRIP_HALF_WIDTH / x1

@@ -551,7 +551,7 @@ class TestApply:
         out = tmp_path / "out.grd"
         assert run(["apply", "--op", "m1", "--grid", str(grid_file),
                     "--directions", str(dirs_file), "--spu", spu, "--out", str(out)]) == 1
-        assert capsys.readouterr().err == "dirmax: samples_per_unit must be >= 1\n"
+        assert capsys.readouterr().err == f"dirmax: samples_per_unit must be an integer >= 1, got {spu}\n"
         assert not out.exists()
 
     def test_gamma(self, grid_file, tmp_path):

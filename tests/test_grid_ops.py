@@ -369,6 +369,14 @@ class TestOperatorConfig:
             OperatorConfig((1.0,), offset_steps=steps)
         assert [OperatorConfig((1.0,), offset_steps=k).offset_steps for k in (0, 1, 2)] == [0, 1, 2]
 
+    @pytest.mark.parametrize("field, value", [
+        ("aspect_levels", v) for v in (-1, 1.5, 2.0, True)] + [
+        ("samples_per_unit", v) for v in (0, float("nan"), 2.5, True)])
+    def test_integer_fields_reject_everything_else(self, field, value):
+        # a float or bool would construct and then fail inside m1 or m2
+        with pytest.raises(InvalidArgument, match=f"{field} must be an integer >= "):
+            OperatorConfig((1.0,), **{field: value})
+
 
 class TestM0Reference:
     # the delta = 1 level has 33 nodes: direct under the default cap 129,
