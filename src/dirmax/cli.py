@@ -29,7 +29,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DirmaxError, InvalidArgument
+from .errors import DirmaxError, InvalidArgument, _check_integer
 from .grid_ops import Grid2D, OperatorConfig, gamma_op, m0, m1, m2, strong_maximal
 from .harness import sweep_N, sweep_mu
 from .kernels import bump_eval, fejer_eval, vp_eval, vp_transform, zeta_eval
@@ -148,8 +148,7 @@ def _cmd_kernel_table(args) -> int:
     scale = getattr(args, param)
     scale = 1.0 if scale is None else scale  # the evaluator rejects a bad scale
     a, b = _parse_list(args.range, "--range", count=2)
-    if args.samples < 1:
-        raise InvalidArgument("--samples must be >= 1")
+    _check_integer("--samples", args.samples, 1)
     # open-interval uniform sampling: n nodes strictly between the endpoints
     xs = a + (b - a) * (np.arange(1, args.samples + 1) / (args.samples + 1))
     rows = "".join(f"{x:.12g},{fn(scale, float(x)):.12g}\n" for x in xs)

@@ -73,7 +73,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 import os
 import struct
 import warnings
@@ -82,8 +81,8 @@ from typing import Callable, Container, Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidArgument, TruncationError
-from .kernels import _positive_real, bump_eval, bump_integral, vp_eval, BUMP_AMPLITUDE
+from .errors import InvalidArgument, TruncationError, _check_integer, _positive_real
+from .kernels import bump_eval, bump_integral, vp_eval, BUMP_AMPLITUDE
 from .lacunary import DirectionSet, perpendicular
 
 __all__ = [
@@ -127,8 +126,7 @@ class Grid2D:
         if not np.all(np.isfinite(v)):
             raise InvalidArgument("grid values must be finite")
         object.__setattr__(self, "values", v)
-        if not (self.spacing > 0) or not math.isfinite(self.spacing):
-            raise InvalidArgument("spacing must be a positive real")
+        _positive_real("spacing", self.spacing)
 
     @property
     def origin(self) -> tuple[float, float]:
@@ -212,14 +210,6 @@ class Grid2D:
         return Grid2D(data, spacing)
 
 
-def _check_integer(name: str, value, lo: int, hi: float = math.inf) -> None:
-    """InvalidArgument naming ``name`` unless ``value`` is an integer, not a
-    bool, in [lo, hi]."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not lo <= value <= hi:
-        rule = f"an integer >= {lo}" if hi == math.inf else f"{', '.join(map(str, range(lo, hi)))} or {hi}"
-        raise InvalidArgument(f"{name} must be {rule}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class OperatorConfig:
     """Discretization of the sup over scales and the rectangle family.
@@ -241,9 +231,9 @@ class OperatorConfig:
     direct_nodes_cap: int = 129
 
     def __post_init__(self):
-        radii = tuple(float(r) for r in self.radii)
-        if not radii or any(not (r > 0 and math.isfinite(r)) for r in radii):
-            raise InvalidArgument("radii must be positive reals")
+        radii = tuple(_positive_real("radii", r) for r in self.radii)
+        if not radii:
+            raise InvalidArgument("radii must be nonempty")
         for a, b in zip(radii, radii[1:]):
             if b != 2.0 * a:
                 raise InvalidArgument(
@@ -674,7 +664,7 @@ def gamma_op(
     """
     if not math.isfinite(alpha):
         raise InvalidArgument(f"alpha must be finite, got {alpha}")
-    r, h = _positive_real(r, "r"), _positive_real(h, "h")
+    r, h = _positive_real("r", r), _positive_real("h", h)
     lx = 0.5 * (f.width - 1) * f.spacing
     ly = 0.5 * (f.height - 1) * f.spacing
     lost = _gamma_tail_fraction(r, h, alpha, lx, ly, f.spacing)

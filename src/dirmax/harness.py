@@ -28,7 +28,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidArgument
+from .errors import InvalidArgument, _check_integer, _positive_real
 from .grid_ops import Grid2D, OperatorConfig, direction_vector, m0, m1, m2
 from .lacunary import DirectionSet, LacunaryDecomposition, staged_complete_decomposition
 
@@ -75,6 +75,7 @@ class TestFunctionSpec:
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise InvalidArgument(f"unknown test function kind {self.kind!r}")
+        _check_integer("seed", self.seed, -(2**63), 2**64 - 1)  # the keys Philox takes
 
 
 def _rng_for(spec_seed: int, stream: int) -> np.random.Generator:
@@ -84,20 +85,15 @@ def _rng_for(spec_seed: int, stream: int) -> np.random.Generator:
 
 def generate(spec: TestFunctionSpec, width: int, height: int, spacing: float) -> Grid2D:
     """Render a test-function spec on a grid; deterministic for a given spec."""
-    if width < 2 or height < 2 or spacing <= 0:
-        raise InvalidArgument(
-            f"grid needs at least 2 x 2 samples and a positive spacing, "
-            f"got {width} x {height} at spacing {spacing}"
-        )
+    _check_integer("width", width, 2)
+    _check_integer("height", height, 2)  # Grid2D checks the spacing
     g = Grid2D(np.zeros((height, width)), spacing)
     x1, x2 = g.coords()
     xx = x1[None, :]
     yy = x2[:, None]
     sp = spacing
     if spec.kind == "disk":
-        r = spec.radius * sp
-        if r <= 0:
-            raise InvalidArgument("disk radius must be positive")
+        r = _positive_real("radius", spec.radius) * sp
         vals = (xx**2 + yy**2 <= r * r).astype(float)
     elif spec.kind == "annulus":
         r0, r1 = spec.inner * sp, spec.outer * sp
@@ -106,8 +102,7 @@ def generate(spec: TestFunctionSpec, width: int, height: int, spacing: float) ->
         rr = xx**2 + yy**2
         vals = ((rr >= r0 * r0) & (rr <= r1 * r1)).astype(float)
     elif spec.kind == "needle_bundle":
-        if spec.count < 1:
-            raise InvalidArgument("needle count must be >= 1")
+        _check_integer("count", spec.count, 1)
         angles = spec.angles or tuple(
             0.5 * k / spec.count for k in range(spec.count)
         )
@@ -120,8 +115,7 @@ def generate(spec: TestFunctionSpec, width: int, height: int, spacing: float) ->
             v = -xx * e[1] + yy * e[0]
             vals = np.maximum(vals, ((np.abs(u) <= half_len) & (np.abs(v) <= half_w)).astype(float))
     elif spec.kind == "random_bumps":
-        if spec.count < 1:
-            raise InvalidArgument("bump count must be >= 1")
+        _check_integer("count", spec.count, 1)
         rng = _rng_for(spec.seed, 0)
         lx = 0.35 * width * sp
         ly = 0.35 * height * sp
@@ -151,8 +145,7 @@ def uniform_directions(n: int) -> DirectionSet:
     Nested across n | m (every direction of the n-set appears in the m-set),
     so measured ratios are monotone along dyadic refinements.
     """
-    if n < 1:
-        raise InvalidArgument("n must be >= 1")
+    _check_integer("n", n, 1)
     return DirectionSet(tuple(i / (2.0 * n) for i in range(n)))
 
 
@@ -350,12 +343,6 @@ def _sweep_cfg(spacing: float, size: int) -> OperatorConfig:
     )
 
 
-def _check_size(size: int, smallest: int) -> None:
-    """Reject a grid side below the smallest a sweep can run on."""
-    if not size >= smallest:
-        raise InvalidArgument(f"size must be >= {smallest}, got {size}")
-
-
 def _sweep(
     mode: str,
     cases: Sequence[tuple[int, DirectionSet, float]],
@@ -388,7 +375,7 @@ def sweep_N(
     resolved along unit-scale segments; radii span two grid steps up to half
     the grid extent.
     """
-    _check_size(size, 2)  # generate renders on at least 2 x 2 samples
+    _check_integer("size", size, 2)  # generate renders on at least 2 x 2 samples
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise InvalidArgument("direction counts must be increasing")
     omegas = [uniform_directions(n) for n in ns]  # rejects n < 1 before 1 / (8n)
@@ -414,10 +401,9 @@ def sweep_mu(
     duplicates that flatten the measured ratios while sqrt(mu) keeps growing.
     """
     # the spacing is 4 / size, and round(size / 4) samples per unit must be >= 1
-    _check_size(size, 3)
+    _check_integer("size", size, 3)
     if any(b <= a for a, b in zip(mus, mus[1:])):
         raise InvalidArgument("orders must be increasing")
-    size = int(size)
     spacing = 4.0 / size
     resolution = spacing / (4.0 * (size * spacing) / 2.0)
     kept: tuple[float, ...] = ()

@@ -37,7 +37,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidArgument
+from .errors import _check_integer, _positive_real
 
 __all__ = [
     "fejer_eval",
@@ -60,21 +60,13 @@ BUMP_AMPLITUDE = 1.0001 * (math.sin(0.125) / 0.125) ** -4
 _TAYLOR_GUARD = 1e-6
 
 
-def _positive_real(value: float, name: str) -> float:
-    """``value`` as a float; InvalidArgument naming ``name`` unless it is finite and > 0."""
-    value = float(value)
-    if not (value > 0.0) or not math.isfinite(value):
-        raise InvalidArgument(f"{name} must be a positive real, got {value}")
-    return value
-
-
 def fejer_eval(r: float, x):
     """Fejér kernel K_r(x) = 4 sin^2(rx/2) / (r x^2); K_r(0) = r.
 
     Nonnegative everywhere; accepts scalars or arrays in x.  Near rx = 0 a
     second-order Taylor branch avoids the 0/0 cancellation.
     """
-    r = _positive_real(r, "r")
+    r = _positive_real("r", r)
     x = np.asarray(x, dtype=float)
     u = r * x
     small = np.abs(u) < _TAYLOR_GUARD
@@ -87,7 +79,7 @@ def fejer_eval(r: float, x):
 
 def vp_eval(r: float, x):
     """Vallée-Poussin kernel V_r = 2 K_{2r} - K_r; V_r(0) = 3r."""
-    r = _positive_real(r, "r")
+    r = _positive_real("r", r)
     return 2.0 * fejer_eval(2.0 * r, x) - fejer_eval(r, x)
 
 
@@ -96,7 +88,7 @@ def vp_transform(r: float, xi):
 
     Normalization: (1/2pi) * integral V_r(x) exp(i x xi) dx.
     """
-    r = _positive_real(r, "r")
+    r = _positive_real("r", r)
     xi = np.asarray(xi, dtype=float)
     out = np.clip(2.0 - np.abs(xi) / r, 0.0, 1.0)
     return float(out) if out.ndim == 0 else out
@@ -108,10 +100,8 @@ def fejer_from_vp(r: float, x, depth: int):
     Telescopes to K_r(x) - 2^{-depth} K_{r/2^depth}(x), so the truncation
     error is bounded by r * 4^{-depth}.
     """
-    r = _positive_real(r, "r")
-    depth = int(depth)
-    if depth < 1:
-        raise InvalidArgument("depth must be >= 1")
+    r = _positive_real("r", r)
+    _check_integer("depth", depth, 1)
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
     for j in range(1, depth + 1):
@@ -125,7 +115,7 @@ def bump_eval(h: float, x):
     phi(x) = A sinc^4((x - 1/2)/4): nonnegative, >= 1 on [0, 1], transform
     supported in [-1, 1] (so phi_h's transform lives in [-1/h, 1/h]).
     """
-    h = _positive_real(h, "h")
+    h = _positive_real("h", h)
     x = np.asarray(x, dtype=float)
     t = (x / h - BUMP_CENTER) / 4.0
     sinc = np.sinc(t / np.pi)  # sin(t)/t with the removable singularity handled
@@ -152,7 +142,7 @@ def zeta_eval(r: float, x):
     |V_r| <= C * zeta_r with an absolute constant (about 9 at worst, attained
     near x = 0 just below dyadic values of r).
     """
-    r = _positive_real(r, "r")
+    r = _positive_real("r", r)
     x = np.asarray(x, dtype=float)
     kmin = _zeta_kmin(r)
     ax = np.abs(x)
@@ -168,5 +158,5 @@ def zeta_l1_norm(r: float) -> float:
 
     Lies in (4, 8] for every r, so the majorant family is uniformly in L1.
     """
-    r = _positive_real(r, "r")
+    r = _positive_real("r", r)
     return 16.0 / (r * 2.0 ** _zeta_kmin(r))

@@ -33,6 +33,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import InvalidArgument, PreconditionViolation, ValidationFailure
+from .errors import _check_integer, _positive_real
 
 __all__ = [
     "DirectionSet",
@@ -235,8 +236,7 @@ class RankInterval:
     def __post_init__(self):
         if not (self.lo < self.hi):
             raise InvalidArgument(f"empty interval ({self.lo}, {self.hi})")
-        if self.rank < 1 or self.rank != int(self.rank):
-            raise InvalidArgument("rank must be a positive integer")
+        _check_integer("rank", self.rank, 1)
         if self.pole is not None and not (self.lo < self.pole < self.hi):
             raise ValidationFailure(
                 f"pole {self.pole} outside interval ({self.lo}, {self.hi})"
@@ -516,16 +516,22 @@ def _span(points: np.ndarray) -> tuple[float, float]:
 
 
 def _check_chain(
-    chain: Iterable[Iterable[float]], domain: Optional[Sequence[float]] = None
+    chain: Iterable[Sequence[float]], domain: Optional[Sequence[float]] = None
 ) -> tuple[tuple[np.ndarray, ...], tuple[float, float]]:
     """The chain's sets as sorted, unique arrays, and the domain holding them.
 
-    InvalidArgument unless every value is finite and inside the closed
-    domain, the first set is nonempty and each set contains the one before
-    it; containment is checked before nesting.  The default domain is the
-    final set's ``_span``.
+    InvalidArgument unless every set is a 1-d array of finite numbers inside
+    the closed domain, the first set is nonempty and each set contains the
+    one before it; containment is checked before nesting.  The default
+    domain is the final set's ``_span``.
     """
-    sets = tuple(np.unique(np.fromiter(s, dtype=float)) for s in chain)
+    try:
+        sets = tuple(np.asarray(s, dtype=float) for s in chain)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidArgument(f"chain sets must be arrays of numbers ({exc})") from None
+    if any(s.ndim != 1 for s in sets):
+        raise InvalidArgument("chain sets must be 1-d")
+    sets = tuple(np.unique(s) for s in sets)
     if not sets or not sets[0].size:
         raise InvalidArgument("chain must contain at least one nonempty set")
     domain = _check_domain(_span(sets[-1]) if domain is None else domain)  # NaN sorts last
@@ -667,7 +673,7 @@ def _infer_group(
 
 
 def _stage_groups(
-    chain: Sequence[Iterable[float]], gap: float, domain: Optional[Sequence[float]]
+    chain: Sequence[Sequence[float]], gap: float, domain: Optional[Sequence[float]]
 ) -> tuple[tuple[np.ndarray, ...], tuple[float, float], list[tuple[int, float, tuple[float, ...]]]]:
     """The checked chain (``_check_chain``), its domain, and its stage groups
     as (stage, pole, points) triples.
@@ -700,7 +706,7 @@ def _stage_groups(
 
 
 def build_decomposition(
-    chain: Sequence[Iterable[float]],
+    chain: Sequence[Sequence[float]],
     gap: float,
     domain: Optional[tuple[float, float]] = None,
 ) -> LacunaryDecomposition:
@@ -941,10 +947,8 @@ def staged_complete_decomposition(
     pole, then the upper side's first distance and ``depth`` ratios, then
     the lower side's.
     """
-    if mu < 1:
-        raise InvalidArgument("mu must be >= 1")
-    if depth < 1:
-        raise InvalidArgument("depth must be >= 1")
+    _check_integer("mu", mu, 1)
+    _check_integer("depth", depth, 1)
     domain = _check_domain(domain)
     sign = np.array([1.0, -1.0])
     current = np.empty(0)
@@ -990,6 +994,8 @@ def random_complete_decomposition(
     a stage draws all its flags (filled iff flag <= probability), then the
     filled intervals' values, one generator call each.
     """
+    _check_integer("depth", depth, 1)  # before it sizes the profile
+    fill_probability = _positive_real("fill_probability", fill_probability, 1.0)
     side = [(0.55, 0.95)] + [(0.26, 0.49)] * depth
     low, high = np.array([(0.3, 0.7)] + side + side).T  # one interval's slots
 

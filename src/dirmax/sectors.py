@@ -44,9 +44,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import InvalidArgument, PreconditionViolation
+from .errors import InvalidArgument, PreconditionViolation, _positive_real
 from .grid_ops import Grid2D, OperatorConfig, gamma_op, m1, strong_maximal
-from .kernels import _positive_real
 from .lacunary import DirectionSet, LacunaryDecomposition, RankInterval
 
 __all__ = [
@@ -429,7 +428,7 @@ def support_containment_check(
     The x1 edge xi1 = r_k coincides with the strip activation threshold; the
     check accepts the closure there and reports margins for the slab bound.
     """
-    R = _positive_real(R, "R")
+    R = _positive_real("R", R)
     strips = _chain_strips(chain, theta)
     n = len(chain)
     r = [1.0 / j.width for j in chain]

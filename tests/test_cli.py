@@ -218,7 +218,7 @@ class TestExitCodes:
             (["check-support", "--chain", "CHAIN", "--theta", "0.4", "--R", "inf"],
              "R must be a positive real, got inf"),
             (["sweep", "--mode", "N", "--values", "0", "--ops", "m1", "--family", "disk",
-              "--size", "32"], "n must be >= 1"),
+              "--size", "32"], "n must be >= 1, got 0"),
             (["sweep", "--mode", "mu", "--values", "1", "--size", "0"], "size must be >= 3, got 0"),
             (["sweep", "--mode", "mu", "--values", "1", "--size", "-4"],
              "size must be >= 3, got -4"),
@@ -228,6 +228,10 @@ class TestExitCodes:
             (["sweep", "--mode", "N", "--values", "4", "--size", "-4"],
              "size must be >= 2, got -4"),
             (["sweep", "--mode", "N", "--values", "4", "--size", "1"], "size must be >= 2, got 1"),
+            # one past the largest key Philox takes
+            (["--seed", str(2**64), "sweep", "--mode", "N", "--values", "4", "--ops", "m1",
+              "--family", "random", "--size", "16"],
+             f"seed must be from {-2**63} to {2**64 - 1}, got {2**64}"),
             *[(["apply", "--op", "m1", "--grid", "GRID", "--directions", f"DIRS_{kind}"],
                "a direction set must hold only finite JSON numbers")
               for kind in ("STRING", "BOOLEAN", "NAN")],
@@ -256,7 +260,7 @@ class TestExitCodes:
              "support-R-zero", "support-R-negative", "support-R-nan", "support-R-inf",
              "sweep-n-zero", "sweep-mu-size-zero", "sweep-mu-size-negative",
              "sweep-mu-size-one", "sweep-mu-size-two", "sweep-n-size-zero",
-             "sweep-n-size-negative", "sweep-n-size-one",
+             "sweep-n-size-negative", "sweep-n-size-one", "sweep-seed-above-range",
              "directions-string", "directions-boolean", "directions-nan",
              "binary-string", "binary-boolean", "binary-nan", "binary-huge-int",
              "chain-string", "chain-boolean",
@@ -551,7 +555,7 @@ class TestApply:
         out = tmp_path / "out.grd"
         assert run(["apply", "--op", "m1", "--grid", str(grid_file),
                     "--directions", str(dirs_file), "--spu", spu, "--out", str(out)]) == 1
-        assert capsys.readouterr().err == f"dirmax: samples_per_unit must be an integer >= 1, got {spu}\n"
+        assert capsys.readouterr().err == f"dirmax: samples_per_unit must be >= 1, got {spu}\n"
         assert not out.exists()
 
     def test_gamma(self, grid_file, tmp_path):

@@ -374,8 +374,13 @@ class TestOperatorConfig:
         ("samples_per_unit", v) for v in (0, float("nan"), 2.5, True)])
     def test_integer_fields_reject_everything_else(self, field, value):
         # a float or bool would construct and then fail inside m1 or m2
-        with pytest.raises(InvalidArgument, match=f"{field} must be an integer >= "):
+        with pytest.raises(InvalidArgument, match=f"{field} must be >= "):
             OperatorConfig((1.0,), **{field: value})
+
+    @pytest.mark.parametrize("radii", [(0.0,), (-1.0,), (math.nan,), (0.5, math.inf), ("x",)])
+    def test_radii_must_be_positive_reals(self, radii):
+        with pytest.raises(InvalidArgument, match="radii must be a positive real, got "):
+            OperatorConfig(radii)
 
 
 class TestM0Reference:

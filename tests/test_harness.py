@@ -1,5 +1,6 @@
 """Test-function generation, ratio measurement, sweeps, fits."""
 
+import functools
 import math
 
 import numpy as np
@@ -21,7 +22,14 @@ from dirmax.harness import (
     sweep_mu,
     uniform_directions,
 )
-from dirmax.lacunary import DirectionSet, _assemble, _GroupArrays
+from dirmax.kernels import fejer_from_vp
+from dirmax.lacunary import (
+    DirectionSet,
+    RankInterval,
+    _assemble,
+    _GroupArrays,
+    random_complete_decomposition,
+)
 from oracles import StageGroup, stage_groups
 from test_lacunary import decomposition_bits, gap_list
 
@@ -40,10 +48,21 @@ class TestGenerate:
         with pytest.raises(InvalidArgument):
             generate(TestFunctionSpec("disk", radius=0.0), 64, 64, 1 / 16)
 
-    @pytest.mark.parametrize("width, height", [(1, 1), (1, 8), (8, 1), (0, 8), (-2, -2)])
+    @pytest.mark.parametrize(
+        "width, height", [(1, 1), (1, 8), (8, 1), (0, 8), (-2, -2), (16.5, 16)]
+    )
     def test_grid_below_two_by_two_rejected(self, width, height):
-        with pytest.raises(InvalidArgument, match=f"at least 2 x 2 .* got {width} x {height}"):
+        with pytest.raises(InvalidArgument, match=r"(width|height) must be >= 2, got "):
             generate(TestFunctionSpec("disk"), width, height, 1 / 16)
+
+    def test_annulus_norm_matches_area(self):
+        g = generate(TestFunctionSpec("annulus", inner=16, outer=32), 256, 256, 1 / 64)
+        assert g.l2_norm() ** 2 == pytest.approx(math.pi * (32**2 - 16**2) / 64**2, rel=0.02)
+
+    @pytest.mark.parametrize("inner, outer", [(16, 16), (20, 16), (math.nan, 16), (8, math.nan)])
+    def test_annulus_needs_inner_below_outer(self, inner, outer):
+        with pytest.raises(InvalidArgument, match="annulus needs 0 <= inner < outer"):
+            generate(TestFunctionSpec("annulus", inner=inner, outer=outer), 64, 64, 1 / 16)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(InvalidArgument):
@@ -64,6 +83,57 @@ class TestGenerate:
     def test_hot_pixel(self):
         g = generate(TestFunctionSpec("hot_pixel"), 33, 33, 1 / 8)
         assert g.values.sum() == 1.0 and g.values[16, 16] == 1.0
+
+
+NAN = float("nan")
+RNG = functools.partial(np.random.default_rng, 0)
+SCALAR_CALLS = {
+    "complete-mu-float": (lambda: random_complete_decomposition(RNG(), 2.5), "mu"),
+    "complete-mu-bool": (lambda: random_complete_decomposition(RNG(), True), "mu"),
+    "complete-fill-nan": (
+        lambda: random_complete_decomposition(RNG(), 3, fill_probability=NAN), "fill_probability"
+    ),
+    "complete-fill-above-one": (
+        lambda: random_complete_decomposition(RNG(), 3, fill_probability=1.5), "fill_probability"
+    ),
+    "staged-mu-float": (lambda: staged_lacunary_directions(2.0), "mu"),
+    "uniform-float": (lambda: uniform_directions(2.5), "n"),
+    "uniform-nan": (lambda: uniform_directions(NAN), "n"),
+    "sweep-n-float": (lambda: sweep_N([4.0]), "n"),
+    "sweep-size-float": (lambda: sweep_mu([1], size=16.0), "size"),
+    "needle-count-float": (
+        lambda: generate(TestFunctionSpec("needle_bundle", count=2.5), 16, 16, 0.1), "count"
+    ),
+    "bump-count-nan": (
+        lambda: generate(TestFunctionSpec("random_bumps", count=NAN), 16, 16, 0.1), "count"
+    ),
+    "disk-radius-nan": (
+        lambda: generate(TestFunctionSpec("disk", radius=NAN), 16, 16, 0.1), "radius"
+    ),
+    "spacing-nan": (lambda: generate(TestFunctionSpec("disk"), 16, 16, NAN), "spacing"),
+    "seed-above-range": (lambda: TestFunctionSpec("random_bumps", seed=2**64), "seed"),
+    "seed-below-range": (lambda: TestFunctionSpec("random_bumps", seed=-(2**63) - 1), "seed"),
+    "seed-float": (lambda: TestFunctionSpec("random_bumps", seed=1.5), "seed"),
+    "rank-nan": (lambda: RankInterval(0.0, 1.0, NAN), "rank"),
+    "rank-bool": (lambda: RankInterval(0.0, 1.0, True), "rank"),
+    "fejer-depth-float": (lambda: fejer_from_vp(1.0, 0.3, 2.7), "depth"),
+}
+
+
+class TestScalarArguments:
+    """Every count, order, size, seed, scale and fraction goes through the
+    integer or the real check of ``dirmax.errors``, whose message names it."""
+
+    @pytest.mark.parametrize("name", SCALAR_CALLS)
+    def test_rejected_naming_the_argument(self, name):
+        call, argument = SCALAR_CALLS[name]
+        with pytest.raises(InvalidArgument, match=f"^{argument} must be "):
+            call()
+
+    @pytest.mark.parametrize("seed", [-(2**63), -1, 0, 2**63])
+    def test_philox_keys_are_seeds(self, seed):
+        g = generate(TestFunctionSpec("random_bumps", seed=seed), 16, 16, 1 / 16)
+        assert g.l2_norm() > 0.0
 
 
 def _staged_stage_loop(mu, depth=4, domain=(0.0, 1.0)):

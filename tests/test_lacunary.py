@@ -212,6 +212,18 @@ class TestBuildDecomposition:
         with pytest.raises(InvalidArgument):
             build_decomposition(chain, 0.5, domain=domain)
 
+    @pytest.mark.parametrize(
+        "chain, message",
+        [([[0.1, "x"]], "chain sets must be arrays of numbers"),
+         ([[0.1, [0.2]]], "chain sets must be arrays of numbers"),
+         ([[[0.1, 0.2]]], "chain sets must be 1-d"),
+         ([0.5], "chain sets must be 1-d")],
+        ids=["string", "ragged", "2-d", "scalar"],
+    )
+    def test_chain_sets_must_be_1d_arrays_of_numbers(self, chain, message):
+        with pytest.raises(InvalidArgument, match=message):
+            build_decomposition(chain, 0.5)
+
     def test_roundtrip_json(self, tmp_path):
         d = build_decomposition([[0, 1], [0, 0.5, 1]], 0.5)
         p = tmp_path / "d.json"
@@ -458,7 +470,7 @@ class TestCompletionPaths:
 
 
 class TestRandomComplete:
-    @pytest.mark.parametrize("depth", [0, -1])
+    @pytest.mark.parametrize("depth", [0, -1, 1.5, True])
     def test_depth_below_one_rejected(self, depth):
         with pytest.raises(InvalidArgument, match="depth must be >= 1"):
             random_complete_decomposition(np.random.default_rng(0), 2, depth=depth)
