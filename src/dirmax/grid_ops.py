@@ -64,6 +64,19 @@ zeros by adding w * source with w >= 0, so it is nonnegative and never
 max(x, +0.0) == x.  An all-zero field (say a cascaded level whose shift
 passes the grid side) carries the empty band and costs no adds.
 
+The same argument bounds every field to a column window [c0, c1), one per
+operator call: the nonzero columns of |f| (one ``any(axis=0)``), widened on
+each side by a proven bound R on how far any field of the call spreads
+sideways (its directions' horizontal reach over the longest line and
+widest column, plus one column per ladder level; see ``_column_window``),
+clipped to the grid.  Every field and offset candidate is built in an array
+of the window's width and max-reduced into the window of the full-size
+output.  A full-grid field is exactly zero outside the window, so a read
+there is the zero extension, each pixel inside gets the same sequence of
+fl(out + fl(w * src)) and each pixel outside keeps x: bit for bit the
+full-width result.  Once the window spans every column (wide supports, long
+radii) it is the full grid, with no copy.
+
 All operations are pure; fields are computed in a fixed summation order so
 results are reproducible bit for bit.
 """
@@ -424,6 +437,41 @@ def _column_ladder_radii(cfg: OperatorConfig) -> tuple[float, ...]:
     return tuple(w_min * 2.0**k for k in range(cfg.aspect_levels + len(cfg.radii)))
 
 
+def _column_window(
+    a: np.ndarray, spacing: float, axes: Sequence, cfg: OperatorConfig, ops: Sequence
+) -> tuple[int, int]:
+    """The columns [c0, c1) outside which every field of a ``_sup`` call over
+    a = |f| is zero: a's nonzero columns, widened on each side by a reach R
+    and clipped to the grid; (0, 0) if a is all zero.  ``axes`` holds the
+    pair (e, e_perp) of each direction, ``ops`` the call's ops.
+
+    A bilinear read at x grid units moves columns by |dj| <= ceil(|x|), less
+    than |x| + 1.  A direct level of half-length delta along e reads within
+    delta |e_1| / spacing, and a cascaded level reads its predecessor within
+    delta |e_1| / (2 spacing), so the reads down to a ladder's level delta
+    sum to delta |e_1| / spacing, one read per level.  A rectangle field is
+    a line level over a column level, and an offset is one more read, at
+    |o1 e_1 + o2 e_perp_1| / spacing with |o1| <= steps delta / 2 and
+    |o2| <= steps w / 2.  Hence, maximized over the call's directions,
+
+        R = ceil((1 + steps/2) (delta_max |e_1| + w_max |e_perp_1|) / spacing)
+            + (line-ladder levels) + (column-ladder levels) + 1
+
+    bounds every field's spread; the last 1 absorbs the rounding of the node
+    positions and of R itself.
+    """
+    c0, c1 = _row_band(a.T)
+    if c0 == c1:
+        return 0, 0
+    d_max = max(d for pairs, _ in ops for d, _ in pairs)
+    w_max = max(w for pairs, _ in ops for _, w in pairs)
+    grow = 1.0 + max(steps for _, steps in ops) / 2.0
+    reach = max(
+        math.ceil(grow * (d_max * abs(e[0]) + w_max * abs(ep[0])) / spacing) for e, ep in axes
+    ) + len(cfg.radii) + len(_column_ladder_radii(cfg)) + 1
+    return max(0, c0 - reach), min(a.shape[1], c1 + reach)
+
+
 def _sup(f: Grid2D, omega: DirectionSet, cfg: OperatorConfig, ops: Sequence) -> list[Grid2D]:
     """Max-reduce each op's candidates over every direction in one pass; one
     field per op, in order.  An op is (pairs, offset_steps): the pair
@@ -436,12 +484,19 @@ def _sup(f: Grid2D, omega: DirectionSet, cfg: OperatorConfig, ops: Sequence) -> 
     field is max-reduced into every op that has it as a candidate, over the
     row band its adds touched (exact, as every field is >= +0.0), and none
     outlives its direction.  The ladders of one direction share stencils.
+
+    Every field lives in the column window [c0, c1) of ``_column_window``:
+    |f| is sliced to it once (a view when it spans the grid), every ladder
+    field and offset candidate has its width, and each is max-reduced into
+    ``out[r0:r1, c0:c1]``.  Every full-grid field is zero outside the window,
+    so each pixel inside gets the same fl(out + fl(w * src)) sequence and
+    each one outside would only get x + (+0.0) and max(x, +0.0): the result
+    is bit for bit that of full-width fields.
     """
     if len(omega) == 0:
         raise InvalidArgument("direction set must be nonempty")
-    src = np.abs(f.values, order="C")  # the shift-add kernel needs C order
-    band = _row_band(src)
-    outs = [src.copy() if (0.0, 0.0) in pairs else np.zeros(src.shape, src.dtype)
+    full = np.abs(f.values, order="C")  # the shift-add kernel needs C order
+    outs = [full.copy() if (0.0, 0.0) in pairs else np.zeros(full.shape, full.dtype)
             for pairs, _ in ops]
     widths = {w for pairs, _ in ops for _, w in pairs if w > 0.0}
     lengths: dict = {}  # half-width -> the positive half-lengths paired with it
@@ -449,6 +504,10 @@ def _sup(f: Grid2D, omega: DirectionSet, cfg: OperatorConfig, ops: Sequence) -> 
         lengths.setdefault(w, set()).add(d)
     col_radii = _column_ladder_radii(cfg)
     stencil = functools.cache(functools.partial(_stencil, spacing=f.spacing))
+    axes = [(direction_vector(s), direction_vector((s + 0.25) % 1.0)) for s in omega.values]
+    c0, c1 = _column_window(full, f.spacing, axes, cfg, ops)
+    src = np.ascontiguousarray(full[:, c0:c1])  # a view when it spans every column
+    band = _row_band(src)
 
     def ladder(base, rows, e, radii, wanted):
         return _avg_field_ladder(
@@ -473,11 +532,10 @@ def _sup(f: Grid2D, omega: DirectionSet, cfg: OperatorConfig, ops: Sequence) -> 
                     cx = (o1 * e[0] + o2 * ep[0]) / f.spacing
                     cy = (o1 * e[1] + o2 * ep[1]) / f.spacing
                     r0, r1 = _shift_add(cand, fld, _corners(cx, cy, 1.0), rows)
-                np.maximum(out[r0:r1], cand[r0:r1], out=out[r0:r1])
+                box = out[r0:r1, c0:c1]
+                np.maximum(box, cand[r0:r1], out=box)
 
-    for s in omega.values:
-        e = direction_vector(s)
-        ep = direction_vector((s + 0.25) % 1.0)
+    for e, ep in axes:
         columns = {0.0: (src, band)}
         for w, col, rows in ladder(src, band, ep, col_radii, widths):
             columns[w] = col, rows

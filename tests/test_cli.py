@@ -581,6 +581,14 @@ class TestApply:
                     "--directions", str(dirs_file),
                     "--out", str(tmp_path / "o.grd")]) == 0
 
+    def test_m2_on_all_zero_csv_writes_zero_grid(self, dirs_file, tmp_path):
+        src, out = tmp_path / "z.csv", tmp_path / "z.grd"
+        np.savetxt(src, np.zeros((12, 20)), delimiter=",")
+        assert run(["apply", "--op", "m2", "--grid", str(src), "--spacing", "0.125",
+                    "--directions", str(dirs_file), "--offsets", "2", "--out", str(out)]) == 0
+        g = Grid2D.load(out)
+        assert g.values.shape == (12, 20) and g.values.tobytes() == bytes(8 * 12 * 20)
+
 
 class TestOverlapAndSupport:
     def test_overlap_exact(self, dirs_file, tmp_path):

@@ -7,12 +7,14 @@ import re
 import struct
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.signal
 from hypothesis import example, given, settings, strategies as st
 
+from dirmax import grid_ops
 from dirmax.errors import InvalidArgument, TruncationError
 from dirmax.grid_ops import (
     ChainReport,
@@ -21,6 +23,7 @@ from dirmax.grid_ops import (
     _avg_field_ladder,
     _base_segments,
     _column_ladder_radii,
+    _column_window,
     _row_band,
     _shift_add,
     _stencil,
@@ -423,11 +426,10 @@ def _loop_offsets(cfg: OperatorConfig, half: float) -> list[float]:
     return [k * half / 2.0 for k in range(-cfg.offset_steps, cfg.offset_steps + 1)]
 
 
-def _loop_m2(f: Grid2D, omega: DirectionSet, cfg: OperatorConfig) -> np.ndarray:
-    """Reference: m2 as its own loop over directions, column widths, lengths
-    and offsets."""
+def _loop_m2_candidates(f: Grid2D, omega: DirectionSet, cfg: OperatorConfig):
+    """Reference: m2's rectangle candidates, full width, from its own loop
+    over directions, column widths, lengths and offsets."""
     src = np.abs(f.values, order="C")
-    out = src.copy()
     col_radii = _column_ladder_radii(cfg)
     for s in omega.values:
         e = direction_vector(s)
@@ -451,13 +453,20 @@ def _loop_m2(f: Grid2D, omega: DirectionSet, cfg: OperatorConfig) -> np.ndarray:
                 for o1 in _loop_offsets(cfg, delta):
                     for o2 in _loop_offsets(cfg, wdt):
                         if o1 == 0.0 and o2 == 0.0:
-                            np.maximum(out, fld, out=out)
+                            yield fld
                         else:
                             cand = np.zeros_like(src)
                             cx = (o1 * e[0] + o2 * ep[0]) / f.spacing
                             cy = (o1 * e[1] + o2 * ep[1]) / f.spacing
                             _ref_bilinear_shift_add(cand, fld, cx, cy, 1.0)
-                            np.maximum(out, cand, out=out)
+                            yield cand
+
+
+def _loop_m2(f: Grid2D, omega: DirectionSet, cfg: OperatorConfig) -> np.ndarray:
+    """Reference: m2 as the max of |f| and its loop's candidates."""
+    out = np.abs(f.values, order="C")
+    for cand in _loop_m2_candidates(f, omega, cfg):
+        np.maximum(out, cand, out=out)
     return out
 
 
@@ -466,7 +475,9 @@ def operator_cases(draw, unit_radius=None, offsets=True):
     """A small sparse signed grid, a direction set and an operator config.
 
     The support is a random scatter, a hot pixel in a corner, a block
-    touching one edge, or two blobs with zero rows between them.
+    touching one edge, two blobs with zero rows between them, or a compact
+    blob in the middle third of a grid 24-64 columns wide, whose column
+    window can end inside the grid on both sides.
 
     ``unit_radius`` True puts 1.0 in the radii, False keeps it out, None
     draws either.
@@ -487,9 +498,10 @@ def operator_cases(draw, unit_radius=None, offsets=True):
         direct_nodes_cap=draw(st.sampled_from([1, 2, 5, 9, 17, 33, 129])),
     )
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    h, w = shape = (draw(st.integers(6, 18)), draw(st.integers(6, 18)))
-    support = draw(st.sampled_from(["scatter", "corner", "edge", "blobs"]))
-    values = np.zeros(shape)
+    support = draw(st.sampled_from(["scatter", "corner", "edge", "blobs", "compact"]))
+    h = draw(st.integers(6, 18))
+    w = draw(st.integers(24, 64) if support == "compact" else st.integers(6, 18))
+    values = np.zeros(shape := (h, w))
     if support == "scatter":
         values = rng.standard_normal(shape) * (rng.uniform(size=shape) < 0.3)
     elif support == "corner":  # one hot pixel in a corner
@@ -504,10 +516,39 @@ def operator_cases(draw, unit_radius=None, offsets=True):
         a, b = draw(st.integers(0, h // 2 - 2)), draw(st.integers(h // 2 + 1, h - 1))
         values[a, draw(st.integers(0, w - 1))] = -2.0
         values[b : b + 2, :3] = rng.standard_normal((min(2, h - b), 3))
+    elif support == "compact":  # a blob of at most 3 x 4 in the middle third
+        i, j = draw(st.integers(0, h - 1)), draw(st.integers(w // 3, 2 * w // 3 - 1))
+        blob = np.s_[i : i + draw(st.integers(1, 3)), j : j + draw(st.integers(1, 4))]
+        values[blob] = rng.standard_normal(values[blob].shape)
     axes = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75]), max_size=2))
     others = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=2))
     omega = DirectionSet(tuple(axes + others) or (0.0,))
     return Grid2D(values, 1 / 8), omega, cfg
+
+
+def _compact_case(omega: DirectionSet, cfg: OperatorConfig):
+    """A 2 x 3 blob in the middle of a 10 x 64 grid, with omega and cfg."""
+    values = np.zeros((10, 64))
+    values[4:6, 30:33] = [[1.5, -2.0, 0.5], [-0.25, 3.0, -1.0]]
+    return Grid2D(values, 1 / 8), omega, cfg
+
+
+COMPACT_CASES = (
+    # a vertical direction: e_1 = 0, so lines reach no column beyond the level count
+    _compact_case(DirectionSet((0.25,)), OperatorConfig.dyadic(0.25, 2, samples_per_unit=8)),
+    # the widest offsets
+    _compact_case(DirectionSet((0.1, 0.6)),
+                  OperatorConfig.dyadic(0.15, 2, samples_per_unit=8, offset_steps=2)),
+    # cascaded levels on both ladders under the node cap 9
+    _compact_case(DirectionSet((0.3,)), OperatorConfig.dyadic(0.125, 3, direct_nodes_cap=9)),
+)
+
+
+def compact_examples(test):
+    """Add every ``COMPACT_CASES`` case as an ``@example`` of a ``case`` test."""
+    for case in COMPACT_CASES:
+        test = example(case=case)(test)
+    return test
 
 
 class TestLoopReferences:
@@ -515,24 +556,28 @@ class TestLoopReferences:
     node over all rows, bit for bit."""
 
     @given(case=operator_cases())
+    @compact_examples
     @settings(max_examples=40, deadline=None)
     def test_m0_matches_two_branch_reference(self, case):
         f, omega, cfg = case
         assert m0(f, omega, cfg).values.tobytes() == _two_branch_m0(f, omega, cfg).tobytes()
 
     @given(case=operator_cases())
+    @compact_examples
     @settings(max_examples=40, deadline=None)
     def test_m1_matches_loop_reference(self, case):
         f, omega, cfg = case
         assert m1(f, omega, cfg).values.tobytes() == _loop_m1(f, omega, cfg).tobytes()
 
     @given(case=operator_cases())
+    @compact_examples
     @settings(max_examples=80, deadline=None)
     def test_m2_matches_loop_reference(self, case):
         f, omega, cfg = case
         assert m2(f, omega, cfg).values.tobytes() == _loop_m2(f, omega, cfg).tobytes()
 
     @given(case=operator_cases())
+    @compact_examples
     @settings(max_examples=40, deadline=None)
     def test_strong_maximal_matches_loop_reference(self, case):
         f, _omega, cfg = case
@@ -627,6 +672,52 @@ class TestLadderEngine:
         e = direction_vector(0.1)
         list(_avg_field_ladder(src, _row_band(src), e, (0.25, 0.5, 1.0), {1.0}, 16, cap, stencil))
         assert len(rules) == built
+
+
+class TestColumnWindow:
+    """Every field an operator call builds is zero outside the column window
+    its ``_sup`` pass computes: the window's reach is not too small."""
+
+    @staticmethod
+    def _window(call) -> tuple[int, int]:
+        windows = []
+
+        def spy(*args):
+            windows.append(_column_window(*args))
+            return windows[-1]
+
+        with mock.patch.object(grid_ops, "_column_window", spy):
+            call()
+        (window,) = windows
+        return window
+
+    @given(case=operator_cases())
+    @compact_examples
+    @settings(max_examples=80, deadline=None)
+    def test_reference_fields_lie_inside_the_window(self, case):
+        f, omega, cfg = case
+        src = np.abs(f.values, order="C")
+
+        def levels(e, radii):
+            return [fld for _, fld in _ref_avg_field_ladder(
+                src, e, radii, f.spacing, cfg.samples_per_unit, cfg.direct_nodes_cap)]
+
+        lines = [fld for s in omega.values for fld in levels(direction_vector(s), cfg.radii)]
+        columns = [fld for s in omega.values for fld in levels(
+            direction_vector((s + 0.25) % 1.0), _column_ladder_radii(cfg))]
+        rectangles = list(_loop_m2_candidates(f, omega, cfg))
+        for call, fields in ((lambda: m1(f, omega, cfg), lines),
+                             (lambda: m2(f, omega, cfg), columns + rectangles)):
+            c0, c1 = self._window(call)
+            for fld in fields:
+                cols = np.flatnonzero(fld.any(axis=0))
+                assert cols.size == 0 or (c0 <= cols[0] and cols[-1] < c1), (c0, c1, cols)
+
+    def test_window_spans_the_support_widened_by_its_reach(self):
+        f, omega, cfg = COMPACT_CASES[0]  # a vertical line: reach from the levels alone
+        reach = len(cfg.radii) + len(_column_ladder_radii(cfg)) + 1
+        assert self._window(lambda: m1(f, omega, cfg)) == (30 - reach, 33 + reach)
+        assert self._window(lambda: m1(f.with_values(np.zeros((10, 64))), omega, cfg)) == (0, 0)
 
 
 @st.composite
@@ -899,6 +990,23 @@ class TestStrongMaximal:
         for g in (smooth_grid(12), hot_pixel_grid()):
             comp = m1(m1(g, perpendicular(axes), inner_cfg), axes, CFG).values
             assert float(np.max(strong_maximal(g, CFG).values - comp)) <= 1e-9
+
+
+class TestAllZeroGrid:
+    """An all-zero grid has an empty column window and all-zero fields."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (9, 14), (24, 40)])
+    def test_operators_give_zero_fields(self, shape):
+        f = Grid2D(np.zeros(shape), 1 / 8)
+        omega = DirectionSet((0.0, 0.1, 0.25))
+        cfg = OperatorConfig.dyadic(0.25, 3, samples_per_unit=8, offset_steps=1)
+        zero = np.zeros(shape).tobytes()  # +0.0 everywhere, no -0.0
+        for g in (m0(f, omega, cfg), m1(f, omega, cfg), m2(f, omega, cfg),
+                  strong_maximal(f, cfg)):
+            assert g.values.tobytes() == zero
+        rep = chain_check(f, omega, cfg, keep_fields=True)
+        assert (rep.m0_vs_m1, rep.m1_vs_m2, rep.m2_vs_composition) == (0.0, 0.0, 0.0)
+        assert all(g.values.tobytes() == zero for g in rep.fields.values())
 
 
 class TestChain:
